@@ -13,14 +13,18 @@ every later edge ranks at least C(k, 3), so the sorted rank sequence grows
 by append-only chunks; partial sequences are compared against the best
 complete sequence found so far and losing branches are cut.  Candidates at
 each level are ordered by their incremental chunk, which lands on a
-near-minimal leaf immediately and makes the pruning effective.
+near-minimal leaf immediately and makes the pruning effective.  Once all
+edges are placed the unassigned vertices are isolated, so each of their
+len(remaining)! orders completes to the same sequence; adding that count in
+one step keeps |Aut| exact without visiting those tied leaves.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb
+from itertools import permutations
+from math import comb, factorial
 
 from .errors import CapabilityError, ParameterError
 from .hypergraph import Hypergraph, triple_rank
@@ -61,15 +65,15 @@ def _canonicalize(n: int, bits: int) -> tuple[tuple[int, ...], int]:
     """(least rank sequence, number of relabelings attaining it = |Aut|)."""
     h = Hypergraph(n, bits)
     e = h.edge_count
-    if e == 0 or e == comb(n, 3):
-        # Fully symmetric: every relabeling gives the same edge set.
-        ranks = tuple(r for r in range(comb(n, 3)) if bits >> r & 1)
-        aut = 1
-        for k in range(2, n + 1):
-            aut *= k
-        return ranks, aut
+    if e == comb(n, 3):
+        # Complete: every relabeling gives the same edge set.
+        return tuple(range(e)), factorial(n)
 
-    has = h.has_edge
+    # thirds[a][b]: bitmask of the vertices c with {a, b, c} an edge.
+    thirds = [[0] * n for _ in range(n)]
+    for t in h.edges():
+        for a, b, c in permutations(t):
+            thirds[a][b] |= 1 << c
     best: list[int] | None = None
     aut = 0
     assigned: list[int] = []
@@ -82,10 +86,10 @@ def _canonicalize(n: int, bits: int) -> tuple[tuple[int, ...], int]:
         base_k = k * (k - 1) * (k - 2) // 6
         out = []
         for j in range(1, k):
-            aj = assigned[j]
+            row = thirds[assigned[j]]
             base = base_k + j * (j - 1) // 2
             for i in range(j):
-                if has(assigned[i], aj, u):
+                if row[assigned[i]] >> u & 1:
                     out.append(base + i)
         return out
 
@@ -108,12 +112,13 @@ def _canonicalize(n: int, bits: int) -> tuple[tuple[int, ...], int]:
                 k = len(assigned)
                 if best[m] < k * (k - 1) * (k - 2) // 6:
                     return
-        if not remaining:
+        if m == e:
+            # The remaining vertices are isolated: all their orders tie here.
             if tied:
-                aut += 1
+                aut += factorial(len(remaining))
             else:
                 best = prefix.copy()
-                aut = 1
+                aut = factorial(len(remaining))
             return
         options = []
         for u in remaining:

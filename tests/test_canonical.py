@@ -1,7 +1,9 @@
 """Canonical labeling: invariance, separation, automorphism counting."""
 
 import random
+import time
 from itertools import permutations
+from math import comb
 
 import pytest
 
@@ -143,3 +145,52 @@ def test_relabeled_forms_hash_consistently():
     forms = {canonical_form(_shuffled(h, rng)) for _ in range(30)}
     assert len(forms) == 1
     assert CanonicalForm(h.n, canonical_form(h).ranks) in forms
+
+
+def _oracle(h):
+    """(least sorted rank tuple, stabiliser size) over all n! relabelings."""
+    least = None
+    fixed = 0
+    for perm in permutations(range(h.n)):
+        g = relabel(h, perm)
+        ranks = tuple(r for r in range(g.bits.bit_length()) if g.bits >> r & 1)
+        if least is None or ranks < least:
+            least = ranks
+        fixed += g.bits == h.bits
+    return least, fixed
+
+
+def test_brute_force_oracle_on_small_inputs():
+    rng = random.Random(2024)
+    subjects = [
+        Hypergraph(5, 0),
+        Hypergraph(6, 0),
+        construct("complete", 5),
+        construct("complete", 6),
+        construct("pasch", 6),
+    ]
+    for n in range(3, 7):
+        triples = range(comb(n, 3))
+        for k in (1, 2, 3):
+            for _ in range(3):
+                ranks = rng.sample(triples, min(k, len(triples)))
+                subjects.append(Hypergraph(n, sum(1 << r for r in ranks)))
+        for density in (0.3, 0.5, 0.8):
+            subjects.append(random_hypergraph(n, density, rng))
+    for h in subjects:
+        least, fixed = _oracle(h)
+        assert canonical_form(h).ranks == least, h
+        assert automorphism_count(h) == fixed, h
+
+
+def test_sparse_inputs_on_twelve_vertices_finish():
+    # Both have isolated vertices, whose orders complete to one sequence, so
+    # the search never enumerates the |Aut| tied leaves one by one.
+    start = time.process_time()
+    assert automorphism_count(Hypergraph(CANONICAL_CAP, 1)) == 6 * 362880
+    fano = construct("fano", 7)
+    assert automorphism_count(Hypergraph.from_edges(CANONICAL_CAP, fano.edges())) == 168 * 120
+    # The first level of the ex-8 scan: one canonical one-edge hypergraph.
+    assert [r for r in range(56) if is_canonical(Hypergraph(8, 1 << r))] == [0]
+    # About 0.2 s of CPU time; visiting each tied leaf took about 50 s.
+    assert time.process_time() - start < 10
