@@ -6,6 +6,11 @@ tool_version, in that order.  A passing certificate for an exhaustive claim
 must have visited == space (pruned mass is charged where it is cut, so the
 books always balance); a failing certificate must carry at least one witness.
 
+Verifiers never build certificates themselves: each opens a ClaimRun with its
+claim id, state-space size and seed, and ends with run.passed(...) or
+run.fail(...), which raises VerificationError carrying the failing
+certificate.  Both stamp elapsed_ms from the clock the run started.
+
 Checkpoint files are a one byte format version followed by fixed-size frames
 (frontier index, states accounted, survivors found), little endian.
 """
@@ -16,9 +21,10 @@ import json
 import struct
 import time
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, NoReturn
 
-from .errors import FormatError, ParameterError
+from . import __version__
+from .errors import FormatError, ParameterError, VerificationError
 
 PASS = "pass"
 FAIL = "fail"
@@ -35,7 +41,7 @@ class Certificate:
     witnesses: list[Any] = field(default_factory=list)
     seed: int = 0
     elapsed_ms: int = 0
-    tool_version: str = "0.1.0"
+    tool_version: str = __version__
 
     def __post_init__(self) -> None:
         if self.verdict not in (PASS, FAIL):
@@ -61,14 +67,32 @@ class Certificate:
         return cls(**{name: d[name] for name in _FIELDS})
 
 
-class Stopwatch:
-    """Wall-clock helper so every verifier stamps elapsed_ms the same way."""
+class ClaimRun:
+    """One verifier run: its clock and the certificate it ends with."""
 
-    def __init__(self) -> None:
+    def __init__(self, claim: str, space: int, seed: int) -> None:
+        self.claim = claim
+        self.space = space
+        self.seed = seed
         self._t0 = time.monotonic()
 
-    def elapsed_ms(self) -> int:
-        return int((time.monotonic() - self._t0) * 1000)
+    def _certificate(self, verdict: str, visited: int, witnesses: list[Any]) -> Certificate:
+        return Certificate(
+            claim=self.claim,
+            verdict=verdict,
+            space=self.space,
+            visited=visited,
+            witnesses=witnesses,
+            seed=self.seed,
+            elapsed_ms=int((time.monotonic() - self._t0) * 1000),
+        )
+
+    def fail(self, visited: int, witness: Any, msg: str) -> NoReturn:
+        """Raise VerificationError carrying the failing certificate."""
+        raise VerificationError(msg, certificate=self._certificate(FAIL, visited, [witness]))
+
+    def passed(self, visited: int, witnesses: list[Any]) -> Certificate:
+        return self._certificate(PASS, visited, witnesses)
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,7 @@ from .multigraph import (
     has_three_crossing_pairs,
     max_edges_no_crossing,
 )
-from .search import CLAIM_ORDER, LONG_RUN_CLAIMS, max_fano_free_edges, run_claim
+from .search import CLAIM_ORDER, CLAIMS, max_fano_free_edges, run_claim
 
 _FAMILIES = ("complete", "balanced_bipartite", "j7", "fano", "pasch")
 
@@ -194,9 +194,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     requested: list[str] = []
     for name in args.claims:
         if name == "all":
-            requested.extend(
-                c for c in CLAIM_ORDER if args.long_run or c not in LONG_RUN_CLAIMS
-            )
+            requested.extend(c.id for c in CLAIMS if args.long_run or not c.long_run)
         elif name in CLAIM_ORDER:
             requested.append(name)
         else:
@@ -211,12 +209,16 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         print("error: no claims requested", file=sys.stderr)
         return 2
 
-    jobs = args.jobs if args.jobs is not None else int(os.environ.get("FANOTURAN_JOBS", "1"))
+    jobs = args.jobs
+    if jobs is None:
+        env = os.environ.get("FANOTURAN_JOBS", "1")
+        try:
+            jobs = int(env)
+        except ValueError:
+            raise ParameterError(f"FANOTURAN_JOBS must be an integer, got {env!r}") from None
     if jobs < 1:
         raise ParameterError(f"jobs must be at least 1, got {jobs}")
-    payloads = [
-        (c, args.seed, args.long_run, args.checkpoint if c == "ex-8" else None) for c in claims
-    ]
+    payloads = [(c, args.seed, args.long_run, args.checkpoint) for c in claims]
     if jobs == 1 or len(claims) == 1:
         outcomes = [_verify_worker(p) for p in payloads]
     else:
@@ -337,7 +339,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=None, help="parallel claim workers (env FANOTURAN_JOBS)")
     p.add_argument("--long-run", action="store_true", help="include budget-gated claims")
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--checkpoint", default=None, help="checkpoint file for the ex-8 scan")
+    long_runs = ", ".join(c.id for c in CLAIMS if c.long_run)
+    p.add_argument("--checkpoint", default=None, help=f"checkpoint file for the {long_runs} scan")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("multigraph", help="layer multigraph tools")

@@ -18,8 +18,8 @@ from functools import lru_cache
 from itertools import combinations
 from math import comb
 
-from .certificate import FAIL, PASS, Certificate, Stopwatch
-from .errors import CapabilityError, FormatError, ParameterError, VerificationError
+from .certificate import Certificate, ClaimRun
+from .errors import CapabilityError, FormatError, ParameterError
 from .hypergraph import b_formula, pair_rank
 
 MAX_LAYERS = 16
@@ -439,9 +439,9 @@ def verify_lemma_4vertex(
     permutes the three matchings slot-preservingly); the accounting
     reconciles the scan against the closed-form state count exactly.
     """
-    watch = Stopwatch()
     p = 5
     space = (1 << (2 * p)) ** 3
+    run = ClaimRun("lemma-4vertex", space, seed)
     cutoff = 2 * 3 * p - min(threshold_min_sum, threshold_full_pair)
     combos, _ = _combo_table(p)
     sdr = _sdr_table(p)
@@ -465,16 +465,7 @@ def verify_lemma_4vertex(
             ),
             "multigraph": g.to_json_dict(),
         }
-        cert = Certificate(
-            claim="lemma-4vertex",
-            verdict=FAIL,
-            space=space,
-            visited=accounted + scanned,
-            witnesses=[witness],
-            seed=seed,
-            elapsed_ms=watch.elapsed_ms(),
-        )
-        raise VerificationError(reason, certificate=cert)
+        run.fail(accounted + scanned, witness, reason)
 
     for ia in range(ncombos):
         da = combos[ia][0]
@@ -524,15 +515,7 @@ def verify_lemma_4vertex(
         "min_sum_instances": n_min_sum_checked,
         "full_pair_instances": n_full_pair_checked,
     }
-    return Certificate(
-        claim="lemma-4vertex",
-        verdict=PASS,
-        space=space,
-        visited=accounted + scanned,
-        witnesses=[witness],
-        seed=seed,
-        elapsed_ms=watch.elapsed_ms(),
-    )
+    return run.passed(accounted + scanned, [witness])
 
 
 # ---------------------------------------------------------------------------
@@ -551,11 +534,11 @@ def verify_corollary_inequalities(n_max: int = 10001, *, flip: bool = False, see
     integer 7 m^2 - m and the checks stay exact.  flip=True asserts the
     reversed comparisons instead, which must fail immediately.
     """
-    watch = Stopwatch()
     if n_max < 9:
         raise ParameterError(f"need n_max >= 9, got {n_max}")
     odds = range(9, n_max + 1, 2)
     space = len(odds)
+    run = ClaimRun("corollary-bf", space, seed)
     visited = 0
     for n in odds:
         m5, m6 = n - 5, n - 6
@@ -571,33 +554,18 @@ def verify_corollary_inequalities(n_max: int = 10001, *, flip: bool = False, see
             ok_a, ok_b = not ok_a, not ok_b
         visited += 1
         if not (ok_a and ok_b):
-            cert = Certificate(
-                claim="corollary-bf",
-                verdict=FAIL,
-                space=space,
-                visited=visited,
-                witnesses=[
-                    {
-                        "n": n,
-                        "scaled_lhs_a": lhs_a,
-                        "scaled_lhs_b": lhs_b,
-                        "scaled_rhs": rhs,
-                        "flipped": flip,
-                    }
-                ],
-                seed=seed,
-                elapsed_ms=watch.elapsed_ms(),
+            run.fail(
+                visited,
+                {
+                    "n": n,
+                    "scaled_lhs_a": lhs_a,
+                    "scaled_lhs_b": lhs_b,
+                    "scaled_rhs": rhs,
+                    "flipped": flip,
+                },
+                "deletion inequality violated",
             )
-            raise VerificationError("deletion inequality violated", certificate=cert)
-    return Certificate(
-        claim="corollary-bf",
-        verdict=PASS,
-        space=space,
-        visited=visited,
-        witnesses=[],
-        seed=seed,
-        elapsed_ms=watch.elapsed_ms(),
-    )
+    return run.passed(visited, [])
 
 
 def verify_section4_arithmetic(
@@ -612,48 +580,24 @@ def verify_section4_arithmetic(
     the harness can demonstrate that a wrong identity is caught, not silently
     absorbed.
     """
-    watch = Stopwatch()
     if n_max < 9:
         raise ParameterError(f"need n_max >= 9, got {n_max}")
     odds = range(9, n_max + 1, 2)
     evens = range(4, n_max + 1, 2)
     space = len(odds) + len(evens)
+    run = ClaimRun("section4-arith", space, seed)
     visited = 0
     tail = 0 if drop_term else 4
     for n in odds:
         visited += 1
         lhs = b_formula(n - 4) + f4_formula(n - 4) + 5 * (n - 4) + tail
         if lhs != b_formula(n):
-            cert = Certificate(
-                claim="section4-arith",
-                verdict=FAIL,
-                space=space,
-                visited=visited,
-                witnesses=[{"n": n, "lhs": lhs, "rhs": b_formula(n)}],
-                seed=seed,
-                elapsed_ms=watch.elapsed_ms(),
-            )
-            raise VerificationError("odd split identity violated", certificate=cert)
+            run.fail(visited, {"n": n, "lhs": lhs, "rhs": b_formula(n)},
+                     "odd split identity violated")
     for n in evens:
         visited += 1
         diff = b_formula(n) - b_formula(n - 1)
         if diff != 3 * comb(n // 2, 2):
-            cert = Certificate(
-                claim="section4-arith",
-                verdict=FAIL,
-                space=space,
-                visited=visited,
-                witnesses=[{"n": n, "difference": diff, "expected": 3 * comb(n // 2, 2)}],
-                seed=seed,
-                elapsed_ms=watch.elapsed_ms(),
-            )
-            raise VerificationError("even increment identity violated", certificate=cert)
-    return Certificate(
-        claim="section4-arith",
-        verdict=PASS,
-        space=space,
-        visited=visited,
-        witnesses=[],
-        seed=seed,
-        elapsed_ms=watch.elapsed_ms(),
-    )
+            run.fail(visited, {"n": n, "difference": diff, "expected": 3 * comb(n // 2, 2)},
+                     "even increment identity violated")
+    return run.passed(visited, [])

@@ -9,9 +9,12 @@ child is rejected (not canonical, or provably unable to cover the remaining
 plane images) the engine charges the full count of size-complements through
 that child, so the books close exactly at C(#triples, size).
 
-Claim verifiers return a Certificate and raise VerificationError (carrying a
-failing certificate) on any counterexample, so deliberately weakened inputs
-fail loudly instead of passing vacuously.
+Claim verifiers build their certificates through a ClaimRun: they return
+run.passed(...) and end any counterexample with run.fail(...), which raises
+VerificationError carrying the failing certificate, so deliberately weakened
+inputs fail loudly instead of passing vacuously.  The claim table CLAIMS lists
+every registered claim once, in run order; run_claim, CLAIM_ORDER,
+LONG_RUN_CLAIMS and the command line all read it.
 """
 
 from __future__ import annotations
@@ -22,8 +25,8 @@ from itertools import combinations
 from math import comb
 
 from .canonical import CanonicalForm, automorphism_count, canonical_form, is_canonical
-from .certificate import FAIL, PASS, Certificate, CheckpointWriter, Stopwatch
-from .errors import CapabilityError, ParameterError, VerificationError
+from .certificate import Certificate, CheckpointWriter, ClaimRun
+from .errors import CapabilityError, ParameterError
 from .fano import (
     contains_fano_crossing,
     contains_fano_embedding,
@@ -43,7 +46,7 @@ from .hypergraph import (
     to_json_dict,
     triple_rank,
 )
-from .multigraph import (
+from .multigraph import (  # run by name from CLAIMS
     verify_corollary_inequalities,
     verify_lemma_4vertex,
     verify_section4_arithmetic,
@@ -229,19 +232,6 @@ def max_fano_free_edges(n: int, *, long_run: bool = False) -> tuple[int, list[Ca
 # Seven-vertex classification.
 # ---------------------------------------------------------------------------
 
-def _fail(claim: str, space: int, visited: int, witness, seed: int, watch: Stopwatch, msg: str):
-    cert = Certificate(
-        claim=claim,
-        verdict=FAIL,
-        space=space,
-        visited=visited,
-        witnesses=[witness],
-        seed=seed,
-        elapsed_ms=watch.elapsed_ms(),
-    )
-    raise VerificationError(msg, certificate=cert)
-
-
 def verify_lemma_n7(
     expected_classes: tuple[CanonicalForm, ...] | None = None, *, seed: int = 0
 ) -> Certificate:
@@ -254,49 +244,46 @@ def verify_lemma_n7(
     triples through one pair.  Labeled counts and automorphism orbit sizes
     must agree.
     """
-    watch = Stopwatch()
     space = comb(35, 5)
+    run = ClaimRun("lemma-n7", space, seed)
     if expected_classes is None:
         expected_classes = (
             canonical_form(construct("balanced_bipartite", 7)),
             canonical_form(construct("j7", 7)),
         )
     expected = set(expected_classes)
+    masks, nimages, _ = _cover_tables(7)
+    fullcov = (1 << nimages) - 1
 
     visited = 0
     comp_groups: dict[CanonicalForm, list[tuple[int, ...]]] = {}
     full = (1 << 35) - 1
     for ranks in combinations(range(35), 5):
         visited += 1
-        yield_rank = _survivor_mask_check(ranks)
-        if not yield_rank:
+        cov = 0
+        for r in ranks:
+            cov |= masks[r]
+        if cov != fullcov:
             continue
         for ra, rb in combinations(ranks, 2):
             shared = len(set(TRIPLES[ra]) & set(TRIPLES[rb]))
             if shared not in (0, 2):
-                _fail(
-                    "lemma-n7", space, visited,
-                    {"complement_ranks": list(ranks), "shared_vertices": shared},
-                    seed, watch, "missing triples share exactly one vertex",
+                run.fail(
+                    visited, {"complement_ranks": list(ranks), "shared_vertices": shared},
+                    "missing triples share exactly one vertex",
                 )
         primal = Hypergraph(7, full ^ _bits_of(ranks))
         if contains_fano_embedding(primal):
-            _fail(
-                "lemma-n7", space, visited,
-                {"complement_ranks": list(ranks)},
-                seed, watch, "image cover test and embedding detector disagree",
-            )
+            run.fail(visited, {"complement_ranks": list(ranks)},
+                     "image cover test and embedding detector disagree")
         comp_groups.setdefault(canonical_form(Hypergraph(7, _bits_of(ranks))), []).append(ranks)
     if visited != space:
         raise AssertionError(f"accounting mismatch: {visited} != {space}")
 
     labeled = sum(len(v) for v in comp_groups.values())
     if labeled != 56 or len(comp_groups) != 2:
-        _fail(
-            "lemma-n7", space, visited,
-            {"labeled_survivors": labeled, "classes": len(comp_groups)},
-            seed, watch, "unexpected survivor count",
-        )
+        run.fail(visited, {"labeled_survivors": labeled, "classes": len(comp_groups)},
+                 "unexpected survivor count")
 
     found: dict[CanonicalForm, dict] = {}
     for comp_form, members in comp_groups.items():
@@ -304,11 +291,8 @@ def verify_lemma_n7(
         form = canonical_form(rep)
         orbit = 5040 // automorphism_count(rep)
         if orbit != len(members):
-            _fail(
-                "lemma-n7", space, visited,
-                {"orbit_from_automorphisms": orbit, "labeled_members": len(members)},
-                seed, watch, "orbit size disagrees with labeled count",
-            )
+            run.fail(visited, {"orbit_from_automorphisms": orbit, "labeled_members": len(members)},
+                     "orbit size disagrees with labeled count")
         found[form] = {
             "labeled_count": len(members),
             "hypergraph": to_json_dict(form.to_hypergraph()),
@@ -318,36 +302,13 @@ def verify_lemma_n7(
     if set(found) != expected:
         missing = [f.ranks for f in expected - set(found)]
         extra = [f.ranks for f in set(found) - expected]
-        _fail(
-            "lemma-n7", space, visited,
-            {"missing_classes": missing, "unexpected_classes": extra},
-            seed, watch, "survivor classes differ from the expected ones",
-        )
+        run.fail(visited, {"missing_classes": missing, "unexpected_classes": extra},
+                 "survivor classes differ from the expected ones")
     counts = sorted(d["labeled_count"] for d in found.values())
     if counts != [21, 35]:
-        _fail("lemma-n7", space, visited, {"class_sizes": counts}, seed, watch,
-              "unexpected class sizes")
+        run.fail(visited, {"class_sizes": counts}, "unexpected class sizes")
 
-    witnesses = [found[f] for f in sorted(found, key=lambda f: f.ranks)]
-    return Certificate(
-        claim="lemma-n7", verdict=PASS, space=space, visited=space,
-        witnesses=witnesses, seed=seed, elapsed_ms=watch.elapsed_ms(),
-    )
-
-
-_MASKS7 = None
-_FULL30 = None
-
-
-def _survivor_mask_check(ranks) -> bool:
-    global _MASKS7, _FULL30
-    if _MASKS7 is None:
-        _MASKS7 = triple_cover_masks(7)
-        _FULL30 = (1 << len(fano_images(7))) - 1
-    cov = 0
-    for r in ranks:
-        cov |= _MASKS7[r]
-    return cov == _FULL30
+    return run.passed(visited, [found[f] for f in sorted(found, key=lambda f: f.ranks)])
 
 
 def verify_ex7(*, seed: int = 0) -> Certificate:
@@ -357,38 +318,34 @@ def verify_ex7(*, seed: int = 0) -> Certificate:
     extremal constructions attain the bound and pass all three independent
     plane detectors as Fano-free.
     """
-    watch = Stopwatch()
     space = sum(comb(35, c) for c in range(6))
+    run = ClaimRun("ex-7", space, seed)
+    masks, nimages, _ = _cover_tables(7)
+    fullcov = (1 << nimages) - 1
     visited = 0
     survivors_at_5 = 0
     for c in range(6):
         for ranks in combinations(range(35), c):
             visited += 1
-            if _survivor_mask_check(ranks):
+            cov = 0
+            for r in ranks:
+                cov |= masks[r]
+            if cov == fullcov:
                 if c < 5:
-                    _fail(
-                        "ex-7", space, visited,
-                        {"complement_ranks": list(ranks), "edges": 35 - c},
-                        seed, watch, "Fano-free hypergraph above 30 edges",
-                    )
+                    run.fail(visited, {"complement_ranks": list(ranks), "edges": 35 - c},
+                             "Fano-free hypergraph above 30 edges")
                 survivors_at_5 += 1
     if survivors_at_5 != 56:
-        _fail("ex-7", space, visited, {"survivors": survivors_at_5}, seed, watch,
-              "wrong survivor count at the boundary")
+        run.fail(visited, {"survivors": survivors_at_5}, "wrong survivor count at the boundary")
 
     for kind in ("balanced_bipartite", "j7"):
         h = construct(kind, 7)
         if h.edge_count != 30 or h.edge_count != b_formula(7):
-            _fail("ex-7", space, visited, {"family": kind, "edges": h.edge_count},
-                  seed, watch, "extremal construction has wrong size")
+            run.fail(visited, {"family": kind, "edges": h.edge_count},
+                     "extremal construction has wrong size")
         if contains_fano_embedding(h) or contains_fano_crossing(h) or contains_fano_pasch(h):
-            _fail("ex-7", space, visited, {"family": kind}, seed, watch,
-                  "extremal construction contains a plane copy")
-    return Certificate(
-        claim="ex-7", verdict=PASS, space=space, visited=visited,
-        witnesses=[{"max_edges": 30, "labeled_extremals": 56}],
-        seed=seed, elapsed_ms=watch.elapsed_ms(),
-    )
+            run.fail(visited, {"family": kind}, "extremal construction contains a plane copy")
+    return run.passed(visited, [{"max_edges": 30, "labeled_extremals": 56}])
 
 
 def verify_ex8(
@@ -407,19 +364,16 @@ def verify_ex8(
     to be the balanced bipartite complement (two disjoint complete 4-vertex
     hypergraphs) by canonical form, orbit size, and all three detectors.
     """
-    watch = Stopwatch()
     space = comb(56, 7) + comb(56, 8)
+    run = ClaimRun("ex-8", space, seed)
     if not long_run:
         raise CapabilityError("the 8-vertex scan is gated behind long_run", best_found=None)
 
     scan7 = _canonical_survivors(8, 7, prune_cover=True)
     visited = scan7.accounted
     if scan7.survivors:
-        _fail(
-            "ex-8", space, visited,
-            {"complement_ranks": list(scan7.survivors[0])},
-            seed, watch, "a 49-edge Fano-free hypergraph exists",
-        )
+        run.fail(visited, {"complement_ranks": list(scan7.survivors[0])},
+                 "a 49-edge Fano-free hypergraph exists")
 
     writer = CheckpointWriter(checkpoint_path, checkpoint_every) if checkpoint_path else None
     try:
@@ -432,8 +386,7 @@ def verify_ex8(
     full = (1 << 56) - 1
     classes = {canonical_form(Hypergraph(8, _bits_of(r))): r for r in scan8.survivors}
     if len(classes) != 1:
-        _fail("ex-8", space, visited, {"classes": len(classes)}, seed, watch,
-              "expected exactly one extremal class")
+        run.fail(visited, {"classes": len(classes)}, "expected exactly one extremal class")
     (comp_form, ranks), = classes.items()
     comp = Hypergraph(8, _bits_of(ranks))
     primal = Hypergraph(8, full ^ comp.bits)
@@ -457,15 +410,11 @@ def verify_ex8(
         and checks["edges"] == 48 == checks["formula"]
         and checks["fano_free_all_detectors"]
     ):
-        _fail("ex-8", space, visited, checks, seed, watch, "extremal class validation failed")
+        run.fail(visited, checks, "extremal class validation failed")
     if visited != space:
         raise AssertionError(f"accounting mismatch: visited {visited} != space {space}")
-    return Certificate(
-        claim="ex-8", verdict=PASS, space=space, visited=visited,
-        witnesses=[{"max_edges": 48, "labeled_extremals": 35,
-                    "extremal": to_json_dict(canonical_form(primal).to_hypergraph())}],
-        seed=seed, elapsed_ms=watch.elapsed_ms(),
-    )
+    return run.passed(visited, [{"max_edges": 48, "labeled_extremals": 35,
+                                 "extremal": to_json_dict(canonical_form(primal).to_hypergraph())}])
 
 
 # ---------------------------------------------------------------------------
@@ -496,8 +445,8 @@ _SIX_PAIRS = tuple(combinations(range(6), 2))
 
 def _apex_cover_tables() -> tuple[tuple[int, ...], tuple[int, ...], int]:
     """(cover masks of 6-set triples, cover masks of apex triples, full mask)."""
-    masks = triple_cover_masks(7)
-    full = (1 << len(fano_images(7))) - 1
+    masks, nimages, _ = _cover_tables(7)
+    full = (1 << nimages) - 1
     six = tuple(masks[triple_rank(a, b, c)] for a, b, c in _SIX_TRIPLES)
     apex = tuple(masks[triple_rank(u, w, 6)] for u, w in _SIX_PAIRS)
     return six, apex, full
@@ -520,7 +469,6 @@ def verify_lemma_2_3(*, min_link_degree: int = 11, seed: int = 0) -> Certificate
     below the degree threshold fail the hypothesis and are accounted in
     bulk.
     """
-    watch = Stopwatch()
     six_cover, apex_cover, full = _apex_cover_tables()
     comp_choices = (
         [()]
@@ -528,6 +476,7 @@ def verify_lemma_2_3(*, min_link_degree: int = 11, seed: int = 0) -> Certificate
         + list(combinations(range(20), 2))
     )
     space = len(comp_choices) * (1 << 15)
+    run = ClaimRun("lemma-2-3", space, seed)
     if not 0 <= min_link_degree <= 15:
         raise ParameterError(f"min_link_degree must be in [0, 15], got {min_link_degree}")
 
@@ -558,26 +507,21 @@ def verify_lemma_2_3(*, min_link_degree: int = 11, seed: int = 0) -> Certificate
             fano_free_seen += 1
             if not base_is_b6:
                 h = _apex_hypergraph(comp, m)
-                _fail(
-                    "lemma-2-3", space, visited,
+                run.fail(
+                    visited,
                     {
                         "hypergraph": to_json_dict(h),
                         "link_degree": m.bit_count(),
                         "missing_base_triples": [list(_SIX_TRIPLES[i]) for i in comp],
                     },
-                    seed, watch, "Fano-free dense state with non-bipartite base",
+                    "Fano-free dense state with non-bipartite base",
                 )
     if visited != space:
         raise AssertionError(f"accounting mismatch: {visited} != {space}")
     if fano_free_seen == 0:
-        _fail("lemma-2-3", space, visited, {"fano_free_states": 0}, seed, watch,
-              "scan was vacuous")
-    return Certificate(
-        claim="lemma-2-3", verdict=PASS, space=space, visited=visited,
-        witnesses=[{"fano_free_states": fano_free_seen,
-                    "links_at_or_above_degree": len(link_masks)}],
-        seed=seed, elapsed_ms=watch.elapsed_ms(),
-    )
+        run.fail(visited, {"fano_free_states": 0}, "scan was vacuous")
+    return run.passed(visited, [{"fano_free_states": fano_free_seen,
+                                 "links_at_or_above_degree": len(link_masks)}])
 
 
 def verify_fact_2_4(*, seed: int = 0) -> Certificate:
@@ -589,9 +533,9 @@ def verify_fact_2_4(*, seed: int = 0) -> Certificate:
     reaching the balanced bipartite count on 8 vertices.  One boundary case
     per side is re-verified with the embedding detector.
     """
-    watch = Stopwatch()
     _, apex_cover, full = _apex_cover_tables()
     space = 1 << 15
+    run = ClaimRun("fact-2-4", space, seed)
     visited = 0
     best = -1
     argmax: list[int] = []
@@ -608,8 +552,7 @@ def verify_fact_2_4(*, seed: int = 0) -> Certificate:
             elif sz == best:
                 argmax.append(m)
     if best != 10 or len(argmax) != 6:
-        _fail("fact-2-4", space, visited, {"max_link": best, "extremals": len(argmax)},
-              seed, watch, "unexpected link maximum")
+        run.fail(visited, {"max_link": best, "extremals": len(argmax)}, "unexpected link maximum")
     for m in argmax:
         degs = [0] * 6
         support = set()
@@ -619,29 +562,24 @@ def verify_fact_2_4(*, seed: int = 0) -> Certificate:
                 degs[w] += 1
                 support.update((u, w))
         if sorted(degs) != [0, 4, 4, 4, 4, 4] or len(support) != 5:
-            _fail("fact-2-4", space, visited, {"link_degrees": sorted(degs)}, seed, watch,
-                  "extremal link is not complete on five vertices")
+            run.fail(visited, {"link_degrees": sorted(degs)},
+                     "extremal link is not complete on five vertices")
 
     h_free = _apex_hypergraph((), argmax[0])
     h_over = _apex_hypergraph((), argmax[0] | (1 << next(
         i for i in range(15) if not argmax[0] >> i & 1
     )))
     if contains_fano_embedding(h_free) or not contains_fano_embedding(h_over):
-        _fail("fact-2-4", space, visited, {"detector_agreement": False}, seed, watch,
-              "embedding detector disagrees with the image cover scan")
+        run.fail(visited, {"detector_agreement": False},
+                 "embedding detector disagrees with the image cover scan")
     if not 20 + 10 + 10 + 6 < b_formula(8):
-        _fail("fact-2-4", space, visited, {"bound": 46, "target": b_formula(8)},
-              seed, watch, "apex arithmetic fails")
-    return Certificate(
-        claim="fact-2-4", verdict=PASS, space=space, visited=visited,
-        witnesses=[{
-            "max_link_edges": 10,
-            "extremal_links": 6,
-            "upper_bound_with_two_apexes": 46,
-            "balanced_count": b_formula(8),
-        }],
-        seed=seed, elapsed_ms=watch.elapsed_ms(),
-    )
+        run.fail(visited, {"bound": 46, "target": b_formula(8)}, "apex arithmetic fails")
+    return run.passed(visited, [{
+        "max_link_edges": 10,
+        "extremal_links": 6,
+        "upper_bound_with_two_apexes": 46,
+        "balanced_count": b_formula(8),
+    }])
 
 
 def _perfect_matchings6() -> list[int]:
@@ -668,12 +606,11 @@ def verify_matching_facts(*, seed: int = 0) -> Certificate:
     or more edges contains one; exactly six 10-edge graphs contain none and
     each is a complete graph on five vertices plus an isolated vertex.
     """
-    watch = Stopwatch()
+    space = 1 << 15
+    run = ClaimRun("matching-facts", space, seed)
     pms = _perfect_matchings6()
     if len(pms) != 15 or len(set(pms)) != 15:
-        _fail("matching-facts", 1 << 15, 0, {"matchings": len(pms)}, seed, watch,
-              "wrong perfect matching count in the complete graph")
-    space = 1 << 15
+        run.fail(0, {"matchings": len(pms)}, "wrong perfect matching count in the complete graph")
     visited = 0
     pm_free_10: list[int] = []
     for m in range(1 << 15):
@@ -683,16 +620,13 @@ def verify_matching_facts(*, seed: int = 0) -> Certificate:
             continue
         sz = m.bit_count()
         if sz >= 11:
-            _fail(
-                "matching-facts", space, visited,
-                {"edges": [list(_SIX_PAIRS[i]) for i in range(15) if m >> i & 1]},
-                seed, watch, "an 11-edge graph without a perfect matching",
-            )
+            run.fail(visited, {"edges": [list(_SIX_PAIRS[i]) for i in range(15) if m >> i & 1]},
+                     "an 11-edge graph without a perfect matching")
         if sz == 10:
             pm_free_10.append(m)
     if len(pm_free_10) != 6:
-        _fail("matching-facts", space, visited, {"ten_edge_pm_free": len(pm_free_10)},
-              seed, watch, "unexpected count of matching-free 10-edge graphs")
+        run.fail(visited, {"ten_edge_pm_free": len(pm_free_10)},
+                 "unexpected count of matching-free 10-edge graphs")
     for m in pm_free_10:
         degs = [0] * 6
         for i, (u, w) in enumerate(_SIX_PAIRS):
@@ -700,13 +634,9 @@ def verify_matching_facts(*, seed: int = 0) -> Certificate:
                 degs[u] += 1
                 degs[w] += 1
         if sorted(degs) != [0, 4, 4, 4, 4, 4]:
-            _fail("matching-facts", space, visited, {"degrees": sorted(degs)}, seed, watch,
-                  "matching-free extremal is not complete on five vertices")
-    return Certificate(
-        claim="matching-facts", verdict=PASS, space=space, visited=visited,
-        witnesses=[{"perfect_matchings_of_complete": 15, "ten_edge_pm_free": 6}],
-        seed=seed, elapsed_ms=watch.elapsed_ms(),
-    )
+            run.fail(visited, {"degrees": sorted(degs)},
+                     "matching-free extremal is not complete on five vertices")
+    return run.passed(visited, [{"perfect_matchings_of_complete": 15, "ten_edge_pm_free": 6}])
 
 
 # ---------------------------------------------------------------------------
@@ -720,7 +650,6 @@ def verify_fact_tetra(n: int | None = None, *, seed: int = 0) -> Certificate:
     re-verification sample routed through the independent clique finder, plus
     the exact chain 3 C(n,3) < 4 b(n) for all n in [4, 64].
     """
-    watch = Stopwatch()
     if n is None:
         targets = (4, 5, 6, 7)
     else:
@@ -730,6 +659,7 @@ def verify_fact_tetra(n: int | None = None, *, seed: int = 0) -> Certificate:
     rng = random.Random(seed)
     chain = range(4, 65)
     space = sum(comb(comb(m, 3), comb(m, 3) - b_formula(m)) for m in targets) + len(chain)
+    run = ClaimRun("fact-tetra", space, seed)
     visited = 0
 
     for m in targets:
@@ -748,51 +678,55 @@ def verify_fact_tetra(n: int | None = None, *, seed: int = 0) -> Certificate:
             visited += 1
             cb = _bits_of(ranks)
             if not any(qm & cb == 0 for qm in quad_masks):
-                _fail(
-                    "fact-tetra", space, visited,
-                    {"n": m, "complement_ranks": list(ranks)},
-                    seed, watch, "a hypergraph at the balanced count with no tetrahedron",
-                )
+                run.fail(visited, {"n": m, "complement_ranks": list(ranks)},
+                         "a hypergraph at the balanced count with no tetrahedron")
             if idx in sample:
                 if find_clique(Hypergraph(m, full ^ cb), 4) is None:
-                    _fail(
-                        "fact-tetra", space, visited,
-                        {"n": m, "complement_ranks": list(ranks)},
-                        seed, watch, "clique finder disagrees with the mask scan",
-                    )
+                    run.fail(visited, {"n": m, "complement_ranks": list(ranks)},
+                             "clique finder disagrees with the mask scan")
 
     for m in chain:
         visited += 1
         if not 3 * comb(m, 3) < 4 * b_formula(m):
-            _fail("fact-tetra", space, visited, {"n": m}, seed, watch,
-                  "count comparison chain fails")
+            run.fail(visited, {"n": m}, "count comparison chain fails")
     if visited != space:
         raise AssertionError(f"accounting mismatch: {visited} != {space}")
-    return Certificate(
-        claim="fact-tetra", verdict=PASS, space=space, visited=visited,
-        witnesses=[{"vertex_counts": list(targets), "chain_checked_to": 64}],
-        seed=seed, elapsed_ms=watch.elapsed_ms(),
-    )
+    return run.passed(visited, [{"vertex_counts": list(targets), "chain_checked_to": 64}])
 
 
 # ---------------------------------------------------------------------------
 # Claim registry.
 # ---------------------------------------------------------------------------
 
-CLAIM_ORDER: tuple[str, ...] = (
-    "ex-7",
-    "lemma-n7",
-    "fact-tetra",
-    "lemma-2-3",
-    "fact-2-4",
-    "matching-facts",
-    "lemma-4vertex",
-    "corollary-bf",
-    "section4-arith",
-    "ex-8",
+@dataclass(frozen=True)
+class Claim:
+    """A registered claim: its id, the name of its verifier, and its gate.
+
+    The verifier is looked up in this module by name when the claim runs, so
+    a wrapper installed on that module attribute (a profiler's or a test's)
+    sees the call.  Only long-run claims take long_run and checkpoint_path.
+    """
+
+    id: str
+    verifier: str
+    long_run: bool = False
+
+
+CLAIMS: tuple[Claim, ...] = (
+    Claim("ex-7", "verify_ex7"),
+    Claim("lemma-n7", "verify_lemma_n7"),
+    Claim("fact-tetra", "verify_fact_tetra"),
+    Claim("lemma-2-3", "verify_lemma_2_3"),
+    Claim("fact-2-4", "verify_fact_2_4"),
+    Claim("matching-facts", "verify_matching_facts"),
+    Claim("lemma-4vertex", "verify_lemma_4vertex"),
+    Claim("corollary-bf", "verify_corollary_inequalities"),
+    Claim("section4-arith", "verify_section4_arithmetic"),
+    Claim("ex-8", "verify_ex8", long_run=True),
 )
 
-LONG_RUN_CLAIMS = frozenset({"ex-8"})
+CLAIM_ORDER: tuple[str, ...] = tuple(c.id for c in CLAIMS)
+LONG_RUN_CLAIMS = frozenset(c.id for c in CLAIMS if c.long_run)
 
 
 def run_claim(
@@ -803,26 +737,12 @@ def run_claim(
     checkpoint_path: str | None = None,
 ) -> Certificate:
     """Run one registered claim end to end and return its certificate."""
-    if claim == "ex-7":
-        return verify_ex7(seed=seed)
-    if claim == "lemma-n7":
-        return verify_lemma_n7(seed=seed)
-    if claim == "fact-tetra":
-        return verify_fact_tetra(seed=seed)
-    if claim == "lemma-2-3":
-        return verify_lemma_2_3(seed=seed)
-    if claim == "fact-2-4":
-        return verify_fact_2_4(seed=seed)
-    if claim == "matching-facts":
-        return verify_matching_facts(seed=seed)
-    if claim == "lemma-4vertex":
-        return verify_lemma_4vertex(seed=seed)
-    if claim == "corollary-bf":
-        return verify_corollary_inequalities(seed=seed)
-    if claim == "section4-arith":
-        return verify_section4_arithmetic(seed=seed)
-    if claim == "ex-8":
-        return verify_ex8(long_run=long_run, seed=seed, checkpoint_path=checkpoint_path)
-    raise ParameterError(
-        f"unknown claim {claim!r}; valid ids: {', '.join(CLAIM_ORDER)}"
-    )
+    entry = next((c for c in CLAIMS if c.id == claim), None)
+    if entry is None:
+        raise ParameterError(
+            f"unknown claim {claim!r}; valid ids: {', '.join(CLAIM_ORDER)}"
+        )
+    verify = globals()[entry.verifier]
+    if entry.long_run:
+        return verify(seed=seed, long_run=long_run, checkpoint_path=checkpoint_path)
+    return verify(seed=seed)

@@ -162,6 +162,15 @@ def test_verify_reads_jobs_from_environment(capsys, monkeypatch):
     assert [c["verdict"] for c in certs] == ["pass", "pass"]
 
 
+def test_verify_rejects_malformed_jobs_environment(capsys, monkeypatch):
+    # bad usage (exit 2), like --jobs 0, not a failed claim (exit 1)
+    monkeypatch.setenv("FANOTURAN_JOBS", "abc")
+    assert main(["verify", "matching-facts"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "FANOTURAN_JOBS" in captured.err
+    assert captured.out == ""
+
+
 def test_verify_dedups_repeated_claims(capsys):
     assert main(["verify", "fact-2-4", "fact-2-4", "--format", "json"]) == 0
     assert len(json.loads(capsys.readouterr().out)) == 1

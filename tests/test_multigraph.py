@@ -245,9 +245,13 @@ def test_lemma_4vertex_passes_with_exact_accounting():
 
 def test_lemma_4vertex_tight_bound_fails_with_live_witness():
     with pytest.raises(VerificationError) as info:
-        verify_lemma_4vertex(sum_bound=4)
+        verify_lemma_4vertex(sum_bound=4, seed=4)
     cert = info.value.certificate
     assert cert.verdict == "fail"
+    assert (cert.claim, cert.space, cert.visited, cert.seed) == (
+        "lemma-4vertex", 1073741824, 1065086046, 4,
+    )
+    assert str(info.value) == "min matching sum exceeds bound"
     w = cert.witnesses[0]
     g = PMultigraph.from_json_dict(w["multigraph"])
     assert g.edge_total() == w["edge_total"] >= 23
@@ -271,8 +275,13 @@ def test_corollary_inequalities_hold_and_flip_fails():
     assert cert.passed()
     assert cert.space == cert.visited == len(range(9, 10002, 2))
     with pytest.raises(VerificationError) as info:
-        verify_corollary_inequalities(flip=True)
-    assert info.value.certificate.witnesses[0]["n"] == 9
+        verify_corollary_inequalities(flip=True, seed=4)
+    failed = info.value.certificate
+    assert (failed.claim, failed.verdict, failed.space, failed.visited, failed.seed) == (
+        "corollary-bf", "fail", 4997, 1, 4,
+    )
+    assert str(info.value) == "deletion inequality violated"
+    assert failed.witnesses[0]["n"] == 9
     with pytest.raises(ParameterError):
         verify_corollary_inequalities(7)
 
@@ -282,8 +291,13 @@ def test_section4_arithmetic_holds_and_mutant_fails():
     assert cert.passed()
     assert cert.visited == cert.space
     with pytest.raises(VerificationError) as info:
-        verify_section4_arithmetic(drop_term=True)
-    assert info.value.certificate.witnesses[0]["n"] == 9
+        verify_section4_arithmetic(drop_term=True, seed=4)
+    failed = info.value.certificate
+    assert (failed.claim, failed.verdict, failed.space, failed.visited, failed.seed) == (
+        "section4-arith", "fail", 9996, 1, 4,
+    )
+    assert str(info.value) == "odd split identity violated"
+    assert failed.witnesses[0]["n"] == 9
 
 
 def test_corollary_n9_numbers_are_the_stated_ones():

@@ -3,9 +3,11 @@
 import random
 from itertools import combinations, permutations
 from math import comb
+from pathlib import Path
 
 import pytest
 
+from fanoturan import search
 from fanoturan.canonical import canonical_form
 from fanoturan.certificate import (
     Certificate,
@@ -31,6 +33,8 @@ from fanoturan.hypergraph import (
 )
 from fanoturan.search import (
     CLAIM_ORDER,
+    CLAIMS,
+    LONG_RUN_CLAIMS,
     EnumerationPlan,
     enumerate_fano_free,
     fano_line_count,
@@ -167,8 +171,13 @@ def test_lemma_n7_rejects_a_wrong_class_list():
         canonical_form(construct("j7", 7)),
     )
     with pytest.raises(VerificationError) as info:
-        verify_lemma_n7(expected_classes=real + (fake,))
-    w = info.value.certificate.witnesses[0]
+        verify_lemma_n7(expected_classes=real + (fake,), seed=4)
+    cert = info.value.certificate
+    assert (cert.claim, cert.verdict, cert.space, cert.visited, cert.seed) == (
+        "lemma-n7", "fail", 324632, 324632, 4,
+    )
+    assert str(info.value) == "survivor classes differ from the expected ones"
+    w = cert.witnesses[0]
     assert fake.ranks in w["missing_classes"]
     assert w["unexpected_classes"] == []
 
@@ -185,8 +194,13 @@ def test_lemma_2_3_certificate():
 
 def test_lemma_2_3_mutant_finds_a_sparse_counterexample():
     with pytest.raises(VerificationError) as info:
-        verify_lemma_2_3(min_link_degree=10)
-    w = info.value.certificate.witnesses[0]
+        verify_lemma_2_3(min_link_degree=10, seed=4)
+    cert = info.value.certificate
+    assert (cert.claim, cert.verdict, cert.space, cert.visited, cert.seed) == (
+        "lemma-2-3", "fail", 6914048, 5870968, 4,
+    )
+    assert str(info.value) == "Fano-free dense state with non-bipartite base"
+    w = cert.witnesses[0]
     h = from_json_dict(w["hypergraph"])
     assert h.n == 7
     assert not contains_fano_embedding(h)  # genuinely plane-free
@@ -249,8 +263,10 @@ def test_ex8_long_run_with_checkpoints(tmp_path):
     assert found[-1] == 1
 
 
-def test_run_claim_dispatch_and_registry():
+def test_run_claim_dispatch_and_registry(monkeypatch):
     assert len(CLAIM_ORDER) == 10
+    assert CLAIM_ORDER == tuple(c.id for c in CLAIMS)
+    assert LONG_RUN_CLAIMS == {c.id for c in CLAIMS if c.long_run} == {"ex-8"}
     cert = run_claim("matching-facts", seed=3)
     assert cert.claim == "matching-facts"
     assert cert.seed == 3
@@ -259,6 +275,24 @@ def test_run_claim_dispatch_and_registry():
     assert "ex-7" in str(info.value)
     with pytest.raises(CapabilityError):
         run_claim("ex-8")
+    # verifiers are looked up by name when a claim runs, and only the
+    # long-run claim is handed long_run and checkpoint_path
+    calls = []
+    for entry in CLAIMS:
+        monkeypatch.setattr(search, entry.verifier, lambda **kw: calls.append(kw) or kw)
+    run_claim("lemma-4vertex", seed=2, long_run=True, checkpoint_path="x.ckpt")
+    run_claim("ex-8", seed=2, long_run=True, checkpoint_path="x.ckpt")
+    assert calls == [{"seed": 2}, {"seed": 2, "long_run": True, "checkpoint_path": "x.ckpt"}]
+
+
+def test_readme_claim_table_matches_registry():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Registered claims", 1)[1].split("\n## ", 1)[0]
+    rows = [line for line in section.splitlines() if line.startswith("| `")]
+    ids = [row.split("|")[1].strip().strip("`") for row in rows]
+    assert tuple(ids) == CLAIM_ORDER
+    gated = {cid for cid, row in zip(ids, rows) if "--long-run" in row}
+    assert gated == LONG_RUN_CLAIMS
 
 
 # ---------------------------------------------------------------------------
