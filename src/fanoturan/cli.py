@@ -17,15 +17,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 from . import __version__
 from .errors import CapabilityError, FormatError, ParameterError, VerificationError
-from .fano import (
-    DetectionMethod,
-    contains_fano,
-    find_clique,
-    find_fano_crossing,
-    find_fano_embedding,
-    find_fano_pasch,
-    embedding_edges,
-)
+from .fano import DetectionMethod, find_clique, find_fano_edges
 from .hypergraph import Hypergraph, construct, format_text, from_json_dict, parse_text, to_json_dict
 from .multigraph import (
     PMultigraph,
@@ -86,34 +78,19 @@ def _cmd_construct(args: argparse.Namespace) -> int:
 # check
 # ---------------------------------------------------------------------------
 
-def _check_fano(h: Hypergraph, method: str):
-    if method == "embedding":
-        images = find_fano_embedding(h)
-        return (images is not None), (list(map(list, embedding_edges(images))) if images else None)
-    if method == "crossing_pairs":
-        w = find_fano_crossing(h)
-        return (w is not None), (list(map(list, w.fano_edges())) if w else None)
-    if method == "pasch_matching":
-        w = find_fano_pasch(h)
-        return (w is not None), (list(map(list, w.fano_edges())) if w else None)
-    raise ParameterError(f"unknown method {method!r}")
-
-
 def _cmd_check(args: argparse.Namespace) -> int:
     h = _load_hypergraph(args.file)
     pattern = args.pattern
     results: dict[str, dict] = {}
     if pattern == "fano":
-        methods = (
-            ("embedding", "crossing_pairs", "pasch_matching")
-            if args.method == "all"
-            else (args.method,)
-        )
+        methods = list(DetectionMethod) if args.method == "all" else [DetectionMethod(args.method)]
         verdicts = set()
         for m in methods:
-            found, witness = _check_fano(h, m)
+            edges = find_fano_edges(h, m)
+            found = edges is not None
             verdicts.add(found)
-            results[m] = {"found": found, "witness": witness}
+            witness = list(map(list, edges)) if found else None
+            results[m.value] = {"found": found, "witness": witness}
         if len(verdicts) != 1:
             print("error: detection methods disagree", file=sys.stderr)
             print(json.dumps(results, indent=2), file=sys.stderr)
@@ -318,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pattern", choices=("fano", "k4", "k5", "k6"), default="fano")
     p.add_argument(
         "--method",
-        choices=("embedding", "crossing_pairs", "pasch_matching", "all"),
+        choices=(*(m.value for m in DetectionMethod), "all"),
         default="embedding",
         help="plane detection method (fano pattern only)",
     )

@@ -16,9 +16,10 @@ Each detector returns a witness object exposing ``fano_edges()``, the seven
 edges of the found copy, so soundness is checkable edge by edge.
 
 For enumeration hot loops there is also a containment test based on
-precomputed plane images: a hypergraph is Fano-free iff its complement
-intersects every image of the plane.  It is capped at 12 vertices (image
-tables) and is re-verified against the embedding method on survivors.
+precomputed plane images, kept per vertex count in one cached CoverTable: a
+hypergraph is Fano-free iff its complement intersects every image of the
+plane.  It is capped at 12 vertices (image tables) and is re-verified against
+the embedding method on survivors.
 """
 
 from __future__ import annotations
@@ -87,24 +88,44 @@ def triple_cover_masks(n: int) -> tuple[int, ...]:
     return tuple(masks)
 
 
-def contains_fano_cover(h: Hypergraph) -> bool:
-    """Image-table containment test: some plane copy is a subset of the edges.
+@dataclass(frozen=True)
+class CoverTable:
+    """The plane images on n labeled vertices, indexed by triple rank.
 
-    Equivalent formulation used by the enumeration engines: the hypergraph is
-    Fano-free iff its complement hits every plane image.
+    A hypergraph is Fano-free iff its non-edges hit every image, so this one
+    table decides Fano-freeness for every cover-based scan.  Below 7
+    vertices there are no images and every rank set hits all of them.
     """
-    if h.n < 7:
-        return False
-    full = (1 << len(fano_images(h.n))) - 1
-    masks = triple_cover_masks(h.n)
-    comp_cover = 0
+
+    masks: tuple[int, ...]  # per triple rank, the images containing it
+    full: int  # the mask of all images
+    most: int  # the largest number of images through one triple
+
+    def cover(self, ranks) -> int:
+        """Mask of the images containing at least one of the triples."""
+        cov = 0
+        for r in ranks:
+            cov |= self.masks[r]
+        return cov
+
+    def hits_all(self, ranks) -> bool:
+        """True iff the triples hit every image, i.e. their complement is Fano-free."""
+        return self.cover(ranks) == self.full
+
+
+@lru_cache(maxsize=None)
+def cover_table(n: int) -> CoverTable:
+    """The cover table on n labeled vertices, built once per n."""
+    masks = triple_cover_masks(n)
+    return CoverTable(
+        masks, (1 << len(fano_images(n))) - 1, max((m.bit_count() for m in masks), default=0)
+    )
+
+
+def contains_fano_cover(h: Hypergraph) -> bool:
+    """Image-table containment test: some plane copy is a subset of the edges."""
     nonedges = ~h.bits
-    for r in range(comb(h.n, 3)):
-        if nonedges >> r & 1:
-            comp_cover |= masks[r]
-            if comp_cover == full:
-                return False
-    return True
+    return not cover_table(h.n).hits_all(r for r in range(comb(h.n, 3)) if nonedges >> r & 1)
 
 
 # ---------------------------------------------------------------------------
@@ -314,11 +335,21 @@ class DetectionMethod(Enum):
     PASCH_MATCHING = "pasch_matching"
 
 
-def contains_fano(h: Hypergraph, method: DetectionMethod = DetectionMethod.EMBEDDING) -> bool:
+def find_fano_edges(
+    h: Hypergraph, method: DetectionMethod = DetectionMethod.EMBEDDING
+) -> tuple[tuple[int, int, int], ...] | None:
+    """The seven edges of a plane copy found by the chosen detector, or None."""
     if method is DetectionMethod.EMBEDDING:
-        return contains_fano_embedding(h)
+        images = find_fano_embedding(h)
+        return None if images is None else embedding_edges(images)
     if method is DetectionMethod.CROSSING_PAIRS:
-        return contains_fano_crossing(h)
-    if method is DetectionMethod.PASCH_MATCHING:
-        return contains_fano_pasch(h)
-    raise ParameterError(f"unknown detection method {method!r}")
+        witness = find_fano_crossing(h)
+    elif method is DetectionMethod.PASCH_MATCHING:
+        witness = find_fano_pasch(h)
+    else:
+        raise ParameterError(f"unknown detection method {method!r}")
+    return None if witness is None else witness.fano_edges()
+
+
+def contains_fano(h: Hypergraph, method: DetectionMethod = DetectionMethod.EMBEDDING) -> bool:
+    return find_fano_edges(h, method) is not None

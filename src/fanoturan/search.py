@@ -7,7 +7,8 @@ canonical engine walks only complements that are the least-labeled member of
 their isomorphism class, adding edges in increasing colex rank; whenever a
 child is rejected (not canonical, or provably unable to cover the remaining
 plane images) the engine charges the full count of size-complements through
-that child, so the books close exactly at C(#triples, size).
+that child, so the books close exactly at C(#triples, size).  Both engines,
+and the apex link scans, read plane images only through fano.cover_table.
 
 Claim verifiers build their certificates through a ClaimRun: they return
 run.passed(...) and end any counterexample with run.fail(...), which raises
@@ -31,9 +32,8 @@ from .fano import (
     contains_fano_crossing,
     contains_fano_embedding,
     contains_fano_pasch,
-    fano_images,
+    cover_table,
     find_clique,
-    triple_cover_masks,
 )
 from .hypergraph import (
     FANO_LINES,
@@ -62,40 +62,12 @@ class EnumerationPlan:
     n: int
     complement_size: int
     dedup: str = "none"  # "none" | "canonical"
-    prune_cover: bool = False
 
     def __post_init__(self) -> None:
         if self.dedup not in ("none", "canonical"):
             raise ParameterError(f'dedup must be "none" or "canonical", got {self.dedup!r}')
-        if self.prune_cover and self.dedup != "canonical":
-            raise ParameterError("cover pruning is only available with canonical dedup")
         if not 0 <= self.complement_size <= comb(self.n, 3):
             raise ParameterError(f"complement size {self.complement_size} out of range")
-
-
-def _cover_tables(n: int) -> tuple[tuple[int, ...], int, int]:
-    """(per-triple image masks, image count, max images through one triple)."""
-    if n < 7:
-        return (0,) * comb(n, 3), 0, 0
-    masks = triple_cover_masks(n)
-    return masks, len(fano_images(n)), max(m.bit_count() for m in masks)
-
-
-def _raw_survivors(n: int, size: int):
-    """Yield complement rank tuples (size edges) whose primal is Fano-free."""
-    total = comb(comb(n, 3), size)
-    if total > RAW_STATE_CAP:
-        raise CapabilityError(
-            f"raw scan of {total} states exceeds the cap {RAW_STATE_CAP}; use canonical dedup"
-        )
-    masks, nimages, _ = _cover_tables(n)
-    full = (1 << nimages) - 1
-    for ranks in combinations(range(comb(n, 3)), size):
-        cov = 0
-        for r in ranks:
-            cov |= masks[r]
-        if cov == full:
-            yield ranks
 
 
 @dataclass
@@ -105,19 +77,44 @@ class ScanResult:
     nodes: int
 
 
+def _raw_survivors(n: int, size: int) -> ScanResult:
+    """Every complement of size triples, keeping those whose primal is Fano-free."""
+    T = comb(n, 3)
+    total = comb(T, size)
+    if total > RAW_STATE_CAP:
+        raise CapabilityError(
+            f"raw scan of {total} states exceeds the cap {RAW_STATE_CAP}; use canonical dedup"
+        )
+    table = cover_table(n)
+    masks, full = table.masks, table.full
+    survivors: list[tuple[int, ...]] = []
+    visited = 0
+    for ranks in combinations(range(T), size):
+        visited += 1
+        # table.hits_all inline: a call per state makes the ex-7 scan a fifth slower
+        cov = 0
+        for r in ranks:
+            cov |= masks[r]
+        if cov == full:
+            survivors.append(ranks)
+    return ScanResult(survivors, visited, visited)
+
+
 def _canonical_survivors(
-    n: int, size: int, *, prune_cover: bool, checkpoint: CheckpointWriter | None = None
+    n: int, size: int, *, checkpoint: CheckpointWriter | None = None
 ) -> ScanResult:
     """Orderly scan of canonical complements, with exact rejection accounting.
 
     Every edge set has exactly one increasing build order, and every prefix
     of a canonical set is canonical, so rejecting a child (with r the new
     largest rank, k+1 edges placed) cuts exactly C(T-1-r, size-k-1) leaf
-    sets.  With prune_cover the leaves reached are exactly the canonical
-    complements hitting all plane images.
+    sets.  A child is also rejected when the triples left cannot hit the
+    images it leaves uncovered, so the leaves reached are exactly the
+    canonical complements hitting all plane images.
     """
     T = comb(n, 3)
-    masks, nimages, percover = _cover_tables(n)
+    table = cover_table(n)
+    masks, nimages, most = table.masks, table.full.bit_count(), table.most
     survivors: list[tuple[int, ...]] = []
     ranks: list[int] = []
     accounted = 0
@@ -133,12 +130,10 @@ def _canonical_survivors(
         rem = size - k - 1
         for r in range(maxr + 1, T):
             tail = comb(T - 1 - r, rem)
-            newcov = covered
-            if prune_cover:
-                newcov = covered | masks[r]
-                if nimages - newcov.bit_count() > percover * rem:
-                    accounted += tail
-                    continue
+            newcov = covered | masks[r]
+            if nimages - newcov.bit_count() > most * rem:
+                accounted += tail
+                continue
             nb = bits | 1 << r
             if not is_canonical(Hypergraph(n, nb)):
                 accounted += tail
@@ -149,7 +144,10 @@ def _canonical_survivors(
         if checkpoint is not None:
             checkpoint.maybe_write(nodes, accounted, len(survivors))
 
-    rec(0, 0, -1, 0)
+    if nimages > most * size:  # the same cover bound at the root, the empty set included
+        accounted = comb(T, size)
+    else:
+        rec(0, 0, -1, 0)
     if accounted != comb(T, size):
         raise AssertionError(
             f"rejection accounting mismatch: {accounted} != C({T}, {size}) = {comb(T, size)}"
@@ -162,22 +160,11 @@ def _canonical_survivors(
 def enumerate_fano_free(plan: EnumerationPlan) -> list[Hypergraph]:
     """Fano-free primal hypergraphs whose complement has the planned size."""
     full = (1 << comb(plan.n, 3)) - 1
-    if plan.dedup == "none":
-        return [
-            Hypergraph(plan.n, full ^ _bits_of(ranks)) for ranks in _raw_survivors(plan.n, plan.complement_size)
-        ]
-    masks, nimages, _ = _cover_tables(plan.n)
-    fullcov = (1 << nimages) - 1
-    out = []
-    for ranks in _canonical_survivors(
-        plan.n, plan.complement_size, prune_cover=plan.prune_cover
-    ).survivors:
-        cov = 0
-        for r in ranks:
-            cov |= masks[r]
-        if cov == fullcov:
-            out.append(Hypergraph(plan.n, full ^ _bits_of(ranks)))
-    return out
+    scan = _raw_survivors if plan.dedup == "none" else _canonical_survivors
+    return [
+        Hypergraph(plan.n, full ^ _bits_of(ranks))
+        for ranks in scan(plan.n, plan.complement_size).survivors
+    ]
 
 
 def _bits_of(ranks) -> int:
@@ -205,7 +192,7 @@ def max_fano_free_edges(n: int, *, long_run: bool = False) -> tuple[int, list[Ca
     if n <= 7:
         for c in range(T + 1):
             groups: dict[CanonicalForm, tuple[int, ...]] = {}
-            for ranks in _raw_survivors(n, c):
+            for ranks in _raw_survivors(n, c).survivors:
                 groups.setdefault(canonical_form(Hypergraph(n, _bits_of(ranks))), ranks)
             if groups:
                 classes = {
@@ -219,7 +206,7 @@ def max_fano_free_edges(n: int, *, long_run: bool = False) -> tuple[int, list[Ca
             "the 8-vertex boundary scan is gated behind long_run", best_found=b_formula(8)
         )
     for c in range(7, 9):
-        scan = _canonical_survivors(n, c, prune_cover=True)
+        scan = _canonical_survivors(n, c)
         if scan.survivors:
             classes = {
                 canonical_form(Hypergraph(n, full ^ _bits_of(ranks))) for ranks in scan.survivors
@@ -252,19 +239,14 @@ def verify_lemma_n7(
             canonical_form(construct("j7", 7)),
         )
     expected = set(expected_classes)
-    masks, nimages, _ = _cover_tables(7)
-    fullcov = (1 << nimages) - 1
 
-    visited = 0
+    scan = _raw_survivors(7, 5)
+    visited = scan.accounted
+    if visited != space:
+        raise AssertionError(f"accounting mismatch: {visited} != {space}")
     comp_groups: dict[CanonicalForm, list[tuple[int, ...]]] = {}
     full = (1 << 35) - 1
-    for ranks in combinations(range(35), 5):
-        visited += 1
-        cov = 0
-        for r in ranks:
-            cov |= masks[r]
-        if cov != fullcov:
-            continue
+    for ranks in scan.survivors:
         for ra, rb in combinations(ranks, 2):
             shared = len(set(TRIPLES[ra]) & set(TRIPLES[rb]))
             if shared not in (0, 2):
@@ -277,8 +259,6 @@ def verify_lemma_n7(
             run.fail(visited, {"complement_ranks": list(ranks)},
                      "image cover test and embedding detector disagree")
         comp_groups.setdefault(canonical_form(Hypergraph(7, _bits_of(ranks))), []).append(ranks)
-    if visited != space:
-        raise AssertionError(f"accounting mismatch: {visited} != {space}")
 
     labeled = sum(len(v) for v in comp_groups.values())
     if labeled != 56 or len(comp_groups) != 2:
@@ -320,23 +300,18 @@ def verify_ex7(*, seed: int = 0) -> Certificate:
     """
     space = sum(comb(35, c) for c in range(6))
     run = ClaimRun("ex-7", space, seed)
-    masks, nimages, _ = _cover_tables(7)
-    fullcov = (1 << nimages) - 1
     visited = 0
-    survivors_at_5 = 0
     for c in range(6):
-        for ranks in combinations(range(35), c):
-            visited += 1
-            cov = 0
-            for r in ranks:
-                cov |= masks[r]
-            if cov == fullcov:
-                if c < 5:
-                    run.fail(visited, {"complement_ranks": list(ranks), "edges": 35 - c},
-                             "Fano-free hypergraph above 30 edges")
-                survivors_at_5 += 1
-    if survivors_at_5 != 56:
-        run.fail(visited, {"survivors": survivors_at_5}, "wrong survivor count at the boundary")
+        scan = _raw_survivors(7, c)
+        visited += scan.accounted
+        if c < 5 and scan.survivors:
+            run.fail(visited, {"complement_ranks": list(scan.survivors[0]), "edges": 35 - c},
+                     "Fano-free hypergraph above 30 edges")
+    if visited != space:
+        raise AssertionError(f"accounting mismatch: {visited} != {space}")
+    if len(scan.survivors) != 56:
+        run.fail(visited, {"survivors": len(scan.survivors)},
+                 "wrong survivor count at the boundary")
 
     for kind in ("balanced_bipartite", "j7"):
         h = construct(kind, 7)
@@ -369,7 +344,7 @@ def verify_ex8(
     if not long_run:
         raise CapabilityError("the 8-vertex scan is gated behind long_run", best_found=None)
 
-    scan7 = _canonical_survivors(8, 7, prune_cover=True)
+    scan7 = _canonical_survivors(8, 7)
     visited = scan7.accounted
     if scan7.survivors:
         run.fail(visited, {"complement_ranks": list(scan7.survivors[0])},
@@ -377,7 +352,7 @@ def verify_ex8(
 
     writer = CheckpointWriter(checkpoint_path, checkpoint_every) if checkpoint_path else None
     try:
-        scan8 = _canonical_survivors(8, 8, prune_cover=True, checkpoint=writer)
+        scan8 = _canonical_survivors(8, 8, checkpoint=writer)
     finally:
         if writer is not None:
             writer.close()
@@ -441,15 +416,12 @@ def fano_line_count(hbar: Hypergraph, sigma) -> int:
 
 _SIX_TRIPLES = tuple(combinations(range(6), 3))
 _SIX_PAIRS = tuple(combinations(range(6), 2))
+_APEX_RANKS = tuple(triple_rank(u, w, 6) for u, w in _SIX_PAIRS)
 
 
-def _apex_cover_tables() -> tuple[tuple[int, ...], tuple[int, ...], int]:
-    """(cover masks of 6-set triples, cover masks of apex triples, full mask)."""
-    masks, nimages, _ = _cover_tables(7)
-    full = (1 << nimages) - 1
-    six = tuple(masks[triple_rank(a, b, c)] for a, b, c in _SIX_TRIPLES)
-    apex = tuple(masks[triple_rank(u, w, 6)] for u, w in _SIX_PAIRS)
-    return six, apex, full
+def _apex_nonlink_cover(link_mask: int) -> int:
+    """Images hit by the apex triples {u, w, 6} whose pair uw is outside the link."""
+    return cover_table(7).cover([_APEX_RANKS[i] for i in range(15) if not link_mask >> i & 1])
 
 
 def _apex_hypergraph(comp_triples, link_mask: int) -> Hypergraph:
@@ -469,7 +441,8 @@ def verify_lemma_2_3(*, min_link_degree: int = 11, seed: int = 0) -> Certificate
     below the degree threshold fail the hypothesis and are accounted in
     bulk.
     """
-    six_cover, apex_cover, full = _apex_cover_tables()
+    table = cover_table(7)
+    full = table.full
     comp_choices = (
         [()]
         + [(i,) for i in range(20)]
@@ -481,21 +454,13 @@ def verify_lemma_2_3(*, min_link_degree: int = 11, seed: int = 0) -> Certificate
         raise ParameterError(f"min_link_degree must be in [0, 15], got {min_link_degree}")
 
     link_masks = [m for m in range(1 << 15) if m.bit_count() >= min_link_degree]
-    nonlink_cover = {}
-    for m in link_masks:
-        cov = 0
-        for i in range(15):
-            if not m >> i & 1:
-                cov |= apex_cover[i]
-        nonlink_cover[m] = cov
+    nonlink_cover = {m: _apex_nonlink_cover(m) for m in link_masks}
     bulk = ((1 << 15) - len(link_masks)) * len(comp_choices)
 
     visited = bulk
     fano_free_seen = 0
     for comp in comp_choices:
-        base_cov = 0
-        for i in comp:
-            base_cov |= six_cover[i]
+        base_cov = table.cover(triple_rank(*_SIX_TRIPLES[i]) for i in comp)
         base6 = Hypergraph.from_edges(
             6, [t for i, t in enumerate(_SIX_TRIPLES) if i not in comp]
         )
@@ -533,7 +498,7 @@ def verify_fact_2_4(*, seed: int = 0) -> Certificate:
     reaching the balanced bipartite count on 8 vertices.  One boundary case
     per side is re-verified with the embedding detector.
     """
-    _, apex_cover, full = _apex_cover_tables()
+    full = cover_table(7).full
     space = 1 << 15
     run = ClaimRun("fact-2-4", space, seed)
     visited = 0
@@ -541,11 +506,7 @@ def verify_fact_2_4(*, seed: int = 0) -> Certificate:
     argmax: list[int] = []
     for m in range(1 << 15):
         visited += 1
-        cov = 0
-        for i in range(15):
-            if not m >> i & 1:
-                cov |= apex_cover[i]
-        if cov == full:
+        if _apex_nonlink_cover(m) == full:
             sz = m.bit_count()
             if sz > best:
                 best, argmax = sz, [m]

@@ -18,6 +18,7 @@ from fanoturan.fano import (
     embedding_edges,
     find_clique,
     find_fano_crossing,
+    find_fano_edges,
     find_fano_embedding,
     find_fano_pasch,
 )
@@ -61,6 +62,7 @@ def test_cover_method_agrees_with_embedding_on_1000_samples():
     for i in range(1000):
         h = random_hypergraph(8, 0.3 + 0.6 * (i % 100) / 99, rng)
         assert contains_fano_cover(h) == contains_fano_embedding(h)
+    assert not contains_fano_cover(construct("complete", 6))  # no images below 7 vertices
 
 
 def test_monotone_under_200_edge_additions():
@@ -196,4 +198,7 @@ def test_dispatch_covers_all_methods():
     for method in DetectionMethod:
         assert contains_fano(FANO, method)
         assert not contains_fano(construct("balanced_bipartite", 7), method)
+        _assert_valid_witness(FANO, find_fano_edges(FANO, method))
     assert contains_fano(FANO) == contains_fano(FANO, DetectionMethod.EMBEDDING)
+    with pytest.raises(ParameterError):
+        contains_fano(FANO, "embedding")  # the value, not the member
