@@ -32,7 +32,6 @@ from .fano import (
     CrossingFanoWitness,
     DetectionMethod,
     PaschFanoWitness,
-    contains_clique,
     contains_fano,
     contains_fano_cover,
     contains_fano_crossing,
@@ -50,16 +49,12 @@ from .hypergraph import (
     FANO_LINES,
     MAX_VERTICES,
     PASCH_QUADS,
-    Graph,
     Hypergraph,
     b_formula,
     complement,
     construct,
-    degree_in_set,
-    edge_split_counts,
     format_text,
     from_json_dict,
-    link_graph,
     pair_rank,
     parse_text,
     random_hypergraph,
@@ -70,8 +65,6 @@ from .hypergraph import (
 from .multigraph import (
     CrossingWitness,
     PMultigraph,
-    e_induced,
-    e_plus,
     extremal_4multigraph,
     f4_formula,
     f5_lower_constructions,
@@ -84,9 +77,6 @@ from .multigraph import (
 from .search import (
     CLAIM_ORDER,
     LONG_RUN_CLAIMS,
-    EnumerationPlan,
-    enumerate_fano_free,
-    fano_line_count,
     max_fano_free_edges,
     run_claim,
     verify_ex7,

@@ -17,7 +17,6 @@ Checkpoint files are a one byte format version followed by fixed-size frames
 
 from __future__ import annotations
 
-import json
 import struct
 import time
 from dataclasses import dataclass, field
@@ -56,9 +55,6 @@ class Certificate:
 
     def to_json_dict(self) -> dict[str, Any]:
         return {name: getattr(self, name) for name in _FIELDS}
-
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_json_dict(), indent=indent)
 
     @classmethod
     def from_json_dict(cls, d: dict[str, Any]) -> "Certificate":

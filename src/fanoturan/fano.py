@@ -144,10 +144,6 @@ def find_clique(h: Hypergraph, k: int) -> tuple[int, ...] | None:
     return None
 
 
-def contains_clique(h: Hypergraph, k: int) -> bool:
-    return find_clique(h, k) is not None
-
-
 # ---------------------------------------------------------------------------
 # Method 1: direct embedding.
 # ---------------------------------------------------------------------------

@@ -9,8 +9,8 @@ identified by its colexicographic rank
 
 and an edge set is a dense bitmask (a Python int) with bit ``rank`` set for
 each edge.  Colex ranks are independent of the ambient vertex count, so
-growing ``n`` never renumbers existing triples.  Graphs (used for links and
-multigraph layers) use the analogous pair rank ``C(b, 2) + a``.
+growing ``n`` never renumbers existing triples.  Vertex pairs (the layers of
+a multigraph) use the analogous pair rank ``C(b, 2) + a``.
 
 All values are immutable; operations return new objects.
 """
@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import combinations
 from math import comb
 
 from .errors import CapabilityError, FormatError, ParameterError
@@ -29,9 +28,6 @@ MAX_VERTICES = 64
 # Colex-ordered lookup tables, built once for the n = 64 cap.
 TRIPLES: tuple[tuple[int, int, int], ...] = tuple(
     (a, b, c) for c in range(2, MAX_VERTICES) for b in range(1, c) for a in range(b)
-)
-PAIRS: tuple[tuple[int, int], ...] = tuple(
-    (a, b) for b in range(1, MAX_VERTICES) for a in range(b)
 )
 
 
@@ -91,60 +87,6 @@ class Hypergraph:
     def has_edge(self, a: int, b: int, c: int) -> bool:
         a, b, c = sorted((a, b, c))
         return bool(self.bits >> triple_rank(a, b, c) & 1)
-
-    def with_edge(self, a: int, b: int, c: int) -> "Hypergraph":
-        a, b, c = sorted((a, b, c))
-        if not (0 <= a < b < c < self.n):
-            raise ParameterError(f"{(a, b, c)} is not a triple of distinct vertices below {self.n}")
-        return Hypergraph(self.n, self.bits | 1 << triple_rank(a, b, c))
-
-
-@dataclass(frozen=True, slots=True)
-class Graph:
-    """A simple graph: vertex count plus a colex-rank pair bitmask."""
-
-    n: int
-    bits: int
-
-    def __post_init__(self) -> None:
-        _check_n(self.n)
-        if self.bits < 0 or self.bits >> comb(self.n, 2):
-            raise ParameterError("pair bitmask references pairs outside the vertex set")
-
-    @classmethod
-    def from_edges(cls, n: int, edges) -> "Graph":
-        bits = 0
-        for e in edges:
-            a, b = sorted(e)
-            if not (0 <= a < b < n):
-                raise ParameterError(f"edge {tuple(e)} is not a pair of distinct vertices below {n}")
-            bits |= 1 << pair_rank(a, b)
-        return cls(n, bits)
-
-    @property
-    def edge_count(self) -> int:
-        return self.bits.bit_count()
-
-    def edges(self) -> tuple[tuple[int, int], ...]:
-        out = []
-        m = self.bits
-        while m:
-            low = m & -m
-            out.append(PAIRS[low.bit_length() - 1])
-            m ^= low
-        return tuple(out)
-
-    def has_edge(self, a: int, b: int) -> bool:
-        if a > b:
-            a, b = b, a
-        return bool(self.bits >> pair_rank(a, b) & 1)
-
-    def degrees(self) -> list[int]:
-        deg = [0] * self.n
-        for a, b in self.edges():
-            deg[a] += 1
-            deg[b] += 1
-        return deg
 
 
 def b_formula(n: int) -> int:
@@ -216,43 +158,6 @@ def construct(kind: str, n: int) -> Hypergraph:
 
 def complement(h: Hypergraph) -> Hypergraph:
     return Hypergraph(h.n, h.bits ^ ((1 << comb(h.n, 3)) - 1))
-
-
-def link_graph(h: Hypergraph, v: int) -> Graph:
-    """Graph on the same vertex set: u ~ w iff {u, v, w} is an edge."""
-    if not 0 <= v < h.n:
-        raise ParameterError(f"vertex {v} outside range(0, {h.n})")
-    bits = 0
-    for r in range(comb(h.n, 3)):
-        if h.bits >> r & 1:
-            t = TRIPLES[r]
-            if v in t:
-                u, w = (x for x in t if x != v)
-                bits |= 1 << pair_rank(u, w)
-    return Graph(h.n, bits)
-
-
-def edge_split_counts(h: Hypergraph, k) -> tuple[int, int, int, int]:
-    """(e0, e1, e2, e3): edges with exactly i endpoints inside the set k."""
-    ks = set(k)
-    if not all(isinstance(v, int) and 0 <= v < h.n for v in ks):
-        raise ParameterError("k must be a set of vertices of the hypergraph")
-    out = [0, 0, 0, 0]
-    for a, b, c in h.edges():
-        out[(a in ks) + (b in ks) + (c in ks)] += 1
-    return tuple(out)
-
-
-def degree_in_set(h: Hypergraph, v: int, k) -> int:
-    """Number of edges through v whose other two endpoints both lie in k."""
-    ks = set(k)
-    if not 0 <= v < h.n:
-        raise ParameterError(f"vertex {v} outside range(0, {h.n})")
-    if v in ks:
-        raise ParameterError(f"vertex {v} must not belong to the query set")
-    if not all(isinstance(u, int) and 0 <= u < h.n for u in ks):
-        raise ParameterError("k must be a set of vertices of the hypergraph")
-    return sum(1 for a, b in combinations(sorted(ks), 2) if h.has_edge(a, b, v))
 
 
 def recognize_balanced_bipartite(h: Hypergraph) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
@@ -379,13 +284,13 @@ def to_json_dict(h: Hypergraph) -> dict:
 def from_json_dict(obj) -> Hypergraph:
     if not isinstance(obj, dict) or set(obj) != {"n", "edges"}:
         raise FormatError('hypergraph JSON must be an object with keys "n" and "edges"')
-    n = obj["n"]
-    if not isinstance(n, int):
-        raise FormatError("n must be an integer")
+    n, edges = obj["n"], obj["edges"]
+    if type(n) is not int or not isinstance(edges, list):  # a bool is not a vertex count
+        raise FormatError('"n" must be an integer and "edges" a list')
     _check_n(n)
     bits = 0
     prev = -1
-    for e in obj["edges"]:
+    for e in edges:
         if not (isinstance(e, list) and len(e) == 3 and all(isinstance(v, int) for v in e)):
             raise FormatError(f"edge {e!r} must be a list of three integers")
         a, b, c = e

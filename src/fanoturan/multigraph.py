@@ -96,6 +96,8 @@ class PMultigraph:
         p, n, pairs = d["p"], d["n"], d["pairs"]
         if not (isinstance(p, int) and isinstance(n, int) and isinstance(pairs, list)):
             raise FormatError("multigraph fields have wrong types")
+        if not (1 <= p <= MAX_LAYERS and 1 <= n <= 64):
+            raise FormatError(f"need 1 <= p <= {MAX_LAYERS} and 1 <= n <= 64, got p={p}, n={n}")
         memb = [0] * comb(n, 2)
         prev = None
         for item in pairs:
@@ -107,31 +109,17 @@ class PMultigraph:
             if prev is not None and (u, v) <= prev:
                 raise FormatError("pairs must be strictly increasing in lex order")
             prev = (u, v)
-            if not layers or layers != sorted(set(layers)):
+            if not isinstance(layers, list) or not layers:
                 raise FormatError(f"layers of pair ({u}, {v}) must be a nonempty ascending list")
             m = 0
             for l in layers:
                 if not (isinstance(l, int) and 1 <= l <= p):
                     raise FormatError(f"layer {l} out of range [1, {p}]")
                 m |= 1 << (l - 1)
+            if layers != sorted(set(layers)):
+                raise FormatError(f"layers of pair ({u}, {v}) must be a nonempty ascending list")
             memb[pair_rank(u, v)] = m
         return cls(p, n, tuple(memb))
-
-
-def e_induced(g: PMultigraph, vertices) -> int:
-    """Layer edges with both endpoints inside the given vertex set."""
-    vs = sorted(set(vertices))
-    for v in vs:
-        if not 0 <= v < g.n:
-            raise ParameterError(f"vertex {v} out of range for n={g.n}")
-    return sum(g.memb[pair_rank(u, v)].bit_count() for u, v in combinations(vs, 2))
-
-
-def e_plus(g: PMultigraph, x) -> int:
-    """Layer edges with at least one endpoint in the vertex set x."""
-    xs = set(x)
-    rest = [v for v in range(g.n) if v not in xs]
-    return g.edge_total() - e_induced(g, rest)
 
 
 # ---------------------------------------------------------------------------

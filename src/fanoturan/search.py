@@ -2,13 +2,15 @@
 
 Two enumeration engines drive everything.  The raw engine walks every
 complement edge set of a given size and keeps those whose primal hypergraph
-is Fano-free (the complement must intersect every plane image).  The
-canonical engine walks only complements that are the least-labeled member of
-their isomorphism class, adding edges in increasing colex rank; whenever a
-child is rejected (not canonical, or provably unable to cover the remaining
-plane images) the engine charges the full count of size-complements through
-that child, so the books close exactly at C(#triples, size).  Both engines,
-and the apex link scans, read plane images only through fano.cover_table.
+is Fano-free (the complement must intersect every plane image); ex-7 and
+lemma-n7 count labeled survivors with it.  The canonical engine, behind
+max_fano_free_edges and ex-8, walks only complements that are the
+least-labeled member of their isomorphism class, adding edges in increasing
+colex rank; whenever a child is rejected (not canonical, or provably unable
+to cover the remaining plane images) the engine charges the full count of
+size-complements through that child, so the books close exactly at
+C(#triples, size).  Both engines, and the apex link scans, read plane images
+only through fano.cover_table.
 
 Claim verifiers build their certificates through a ClaimRun: they return
 run.passed(...) and end any counterexample with run.fail(...), which raises
@@ -36,7 +38,6 @@ from .fano import (
     find_clique,
 )
 from .hypergraph import (
-    FANO_LINES,
     Hypergraph,
     TRIPLES,
     b_formula,
@@ -53,21 +54,6 @@ from .multigraph import (  # run by name from CLAIMS
 )
 
 RAW_STATE_CAP = 2_000_000
-
-
-@dataclass(frozen=True)
-class EnumerationPlan:
-    """How to walk the complements of one size: raw labeled or up to isomorphism."""
-
-    n: int
-    complement_size: int
-    dedup: str = "none"  # "none" | "canonical"
-
-    def __post_init__(self) -> None:
-        if self.dedup not in ("none", "canonical"):
-            raise ParameterError(f'dedup must be "none" or "canonical", got {self.dedup!r}')
-        if not 0 <= self.complement_size <= comb(self.n, 3):
-            raise ParameterError(f"complement size {self.complement_size} out of range")
 
 
 @dataclass
@@ -157,16 +143,6 @@ def _canonical_survivors(
     return ScanResult(survivors, accounted, nodes)
 
 
-def enumerate_fano_free(plan: EnumerationPlan) -> list[Hypergraph]:
-    """Fano-free primal hypergraphs whose complement has the planned size."""
-    full = (1 << comb(plan.n, 3)) - 1
-    scan = _raw_survivors if plan.dedup == "none" else _canonical_survivors
-    return [
-        Hypergraph(plan.n, full ^ _bits_of(ranks))
-        for ranks in scan(plan.n, plan.complement_size).survivors
-    ]
-
-
 def _bits_of(ranks) -> int:
     bits = 0
     for r in ranks:
@@ -181,38 +157,24 @@ def _bits_of(ranks) -> int:
 def max_fano_free_edges(n: int, *, long_run: bool = False) -> tuple[int, list[CanonicalForm]]:
     """Largest Fano-free edge count on n vertices plus the extremal classes.
 
-    Walks complement sizes upward; Fano-freeness survives edge removal, so
-    the first size with survivors is exact.  n = 8 runs the canonical engine
-    with cover pruning and must be requested with long_run=True.
+    Walks complement sizes upward through the canonical engine, which keeps
+    one survivor per class; Fano-freeness survives edge removal, so the first
+    size with survivors is exact.  n = 8 must be requested with long_run=True.
     """
     if not 4 <= n <= 8:
         raise ParameterError(f"supported vertex counts are 4..8, got {n}")
-    T = comb(n, 3)
-    full = (1 << T) - 1
-    if n <= 7:
-        for c in range(T + 1):
-            groups: dict[CanonicalForm, tuple[int, ...]] = {}
-            for ranks in _raw_survivors(n, c).survivors:
-                groups.setdefault(canonical_form(Hypergraph(n, _bits_of(ranks))), ranks)
-            if groups:
-                classes = {
-                    canonical_form(Hypergraph(n, full ^ _bits_of(ranks)))
-                    for ranks in groups.values()
-                }
-                return T - c, sorted(classes, key=lambda f: f.ranks)
-        raise AssertionError("even the empty hypergraph should survive")
-    if not long_run:
+    if n == 8 and not long_run:
         raise CapabilityError(
             "the 8-vertex boundary scan is gated behind long_run", best_found=b_formula(8)
         )
-    for c in range(7, 9):
-        scan = _canonical_survivors(n, c)
-        if scan.survivors:
-            classes = {
-                canonical_form(Hypergraph(n, full ^ _bits_of(ranks))) for ranks in scan.survivors
-            }
+    T = comb(n, 3)
+    full = (1 << T) - 1
+    for c in range(T + 1):
+        survivors = _canonical_survivors(n, c).survivors
+        if survivors:
+            classes = [canonical_form(Hypergraph(n, full ^ _bits_of(r))) for r in survivors]
             return T - c, sorted(classes, key=lambda f: f.ranks)
-    raise AssertionError("the 8-edge complement level must contain survivors")
+    raise AssertionError("even the empty hypergraph should survive")
 
 
 # ---------------------------------------------------------------------------
@@ -393,24 +355,6 @@ def verify_ex8(
 
 
 # ---------------------------------------------------------------------------
-# Plane lines under a permutation.
-# ---------------------------------------------------------------------------
-
-def fano_line_count(hbar: Hypergraph, sigma) -> int:
-    """Number of canonical plane lines landing in hbar's edges under sigma."""
-    if hbar.n != 7:
-        raise ParameterError(f"need a 7-vertex hypergraph, got n={hbar.n}")
-    perm = tuple(sigma)
-    if sorted(perm) != list(range(7)):
-        raise ParameterError("sigma must be a permutation of 0..6")
-    count = 0
-    for a, b, c in FANO_LINES:
-        if hbar.has_edge(perm[a], perm[b], perm[c]):
-            count += 1
-    return count
-
-
-# ---------------------------------------------------------------------------
 # Six-set link scans (one apex vertex over a near-complete 6-vertex base).
 # ---------------------------------------------------------------------------
 
@@ -489,6 +433,16 @@ def verify_lemma_2_3(*, min_link_degree: int = 11, seed: int = 0) -> Certificate
                                  "links_at_or_above_degree": len(link_masks)}])
 
 
+def _six_degrees(link_mask: int) -> list[int]:
+    """Sorted vertex degrees of the graph on 0..5 whose pairs the mask selects."""
+    degs = [0] * 6
+    for i, (u, w) in enumerate(_SIX_PAIRS):
+        if link_mask >> i & 1:
+            degs[u] += 1
+            degs[w] += 1
+    return sorted(degs)
+
+
 def verify_fact_2_4(*, seed: int = 0) -> Certificate:
     """Over a complete 6-set, a Fano-free apex link has at most 10 edges.
 
@@ -515,15 +469,9 @@ def verify_fact_2_4(*, seed: int = 0) -> Certificate:
     if best != 10 or len(argmax) != 6:
         run.fail(visited, {"max_link": best, "extremals": len(argmax)}, "unexpected link maximum")
     for m in argmax:
-        degs = [0] * 6
-        support = set()
-        for i, (u, w) in enumerate(_SIX_PAIRS):
-            if m >> i & 1:
-                degs[u] += 1
-                degs[w] += 1
-                support.update((u, w))
-        if sorted(degs) != [0, 4, 4, 4, 4, 4] or len(support) != 5:
-            run.fail(visited, {"link_degrees": sorted(degs)},
+        degs = _six_degrees(m)
+        if degs != [0, 4, 4, 4, 4, 4]:
+            run.fail(visited, {"link_degrees": degs},
                      "extremal link is not complete on five vertices")
 
     h_free = _apex_hypergraph((), argmax[0])
@@ -589,13 +537,9 @@ def verify_matching_facts(*, seed: int = 0) -> Certificate:
         run.fail(visited, {"ten_edge_pm_free": len(pm_free_10)},
                  "unexpected count of matching-free 10-edge graphs")
     for m in pm_free_10:
-        degs = [0] * 6
-        for i, (u, w) in enumerate(_SIX_PAIRS):
-            if m >> i & 1:
-                degs[u] += 1
-                degs[w] += 1
-        if sorted(degs) != [0, 4, 4, 4, 4, 4]:
-            run.fail(visited, {"degrees": sorted(degs)},
+        degs = _six_degrees(m)
+        if degs != [0, 4, 4, 4, 4, 4]:
+            run.fail(visited, {"degrees": degs},
                      "matching-free extremal is not complete on five vertices")
     return run.passed(visited, [{"perfect_matchings_of_complete": 15, "ten_edge_pm_free": 6}])
 

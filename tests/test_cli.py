@@ -211,6 +211,10 @@ def test_multigraph_check_exit_codes(tmp_path, capsys):
     }))
     assert main(["multigraph", "check", str(full)]) == 0
     assert "quad=[0, 1, 2, 3]" in capsys.readouterr().out
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"p": 4, "n": -1, "pairs": []}))
+    assert main(["multigraph", "check", str(bad)]) == 2
+    assert "format error" in capsys.readouterr().err
 
 
 def test_version_flag(capsys):

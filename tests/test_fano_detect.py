@@ -9,7 +9,6 @@ from fanoturan.canonical import canonical_form
 from fanoturan.errors import ParameterError
 from fanoturan.fano import (
     DetectionMethod,
-    contains_clique,
     contains_fano,
     contains_fano_cover,
     contains_fano_crossing,
@@ -166,10 +165,10 @@ def test_small_vertex_counts_are_trivially_plane_free():
 
 
 def test_clique_detection_named_facts():
-    assert contains_clique(construct("j7", 7), 6)
-    assert contains_clique(construct("balanced_bipartite", 8), 4)
-    assert not contains_clique(construct("balanced_bipartite", 9), 5)
-    assert contains_clique(construct("complete", 6), 6)
+    assert find_clique(construct("j7", 7), 6) is not None
+    assert find_clique(construct("balanced_bipartite", 8), 4) is not None
+    assert find_clique(construct("balanced_bipartite", 9), 5) is None
+    assert find_clique(construct("complete", 6), 6) is not None
     assert find_clique(construct("complete", 3), 4) is None
 
 

@@ -1,7 +1,7 @@
 """Exhaustive verifiers: boundary scans, classification, and certificates."""
 
 import random
-from itertools import combinations, permutations
+from itertools import combinations
 from math import comb
 from pathlib import Path
 
@@ -27,17 +27,12 @@ from fanoturan.hypergraph import (
     complement,
     construct,
     from_json_dict,
-    link_graph,
-    random_hypergraph,
     triple_rank,
 )
 from fanoturan.search import (
     CLAIM_ORDER,
     CLAIMS,
     LONG_RUN_CLAIMS,
-    EnumerationPlan,
-    enumerate_fano_free,
-    fano_line_count,
     max_fano_free_edges,
     run_claim,
     verify_ex7,
@@ -54,18 +49,15 @@ from fanoturan.search import (
 # Enumeration plumbing.
 # ---------------------------------------------------------------------------
 
-def test_enumeration_plan_validation():
-    with pytest.raises(ParameterError):
-        EnumerationPlan(7, 5, dedup="fancy")
-    with pytest.raises(ParameterError):
-        EnumerationPlan(7, 36)
-    with pytest.raises(ParameterError):
-        EnumerationPlan(7, -1)
+def _fano_free(scan, n, size):
+    """The primal hypergraphs of the complements an engine keeps at one size."""
+    full = (1 << comb(n, 3)) - 1
+    return [Hypergraph(n, full ^ sum(1 << r for r in ranks)) for ranks in scan(n, size).survivors]
 
 
 def test_dedup_soundness_at_the_seven_vertex_boundary():
-    raw = enumerate_fano_free(EnumerationPlan(7, 5, dedup="none"))
-    canon = enumerate_fano_free(EnumerationPlan(7, 5, dedup="canonical"))
+    raw = _fano_free(search._raw_survivors, 7, 5)
+    canon = _fano_free(search._canonical_survivors, 7, 5)
     assert len(raw) == 56
     raw_classes = {canonical_form(h) for h in raw}
     canon_classes = {canonical_form(h) for h in canon}
@@ -81,8 +73,8 @@ def test_dedup_soundness_on_a_crowded_level(n, size):
     # n = 7: levels below the boundary, where survivors do not exist; n = 6:
     # no plane images, so every complement survives and the engines must agree
     # on classes (compared through the sparse complements, which are cheaper)
-    raw = enumerate_fano_free(EnumerationPlan(n, size, dedup="none"))
-    canon = enumerate_fano_free(EnumerationPlan(n, size, dedup="canonical"))
+    raw = _fano_free(search._raw_survivors, n, size)
+    canon = _fano_free(search._canonical_survivors, n, size)
     if n == 7:
         assert raw == [] and canon == []
         return
@@ -212,7 +204,7 @@ def test_lemma_2_3_mutant_finds_a_sparse_counterexample():
     assert h.n == 7
     assert not contains_fano_embedding(h)  # genuinely plane-free
     assert w["link_degree"] == 10
-    assert link_graph(h, 6).edge_count == 10
+    assert sum(h.has_edge(u, w, 6) for u, w in combinations(range(6), 2)) == 10
 
 
 def test_fact_2_4_certificate():
@@ -300,25 +292,6 @@ def test_readme_claim_table_matches_registry():
     assert tuple(ids) == CLAIM_ORDER
     gated = {cid for cid, row in zip(ids, rows) if "--long-run" in row}
     assert gated == LONG_RUN_CLAIMS
-
-
-# ---------------------------------------------------------------------------
-# Line counting identity.
-# ---------------------------------------------------------------------------
-
-def test_fano_line_count_identity():
-    rng = random.Random(19)
-    h = random_hypergraph(7, 0.5, rng)
-    total = sum(fano_line_count(h, perm) for perm in permutations(range(7)))
-    # each of the 7 lines lands on each edge under exactly 3! * 4! permutations
-    assert total == 1008 * h.edge_count
-    fano = construct("fano", 7)
-    assert fano_line_count(fano, range(7)) == 7
-    assert fano_line_count(complement(fano), range(7)) == 0
-    with pytest.raises(ParameterError):
-        fano_line_count(h, (0, 1, 2, 3, 4, 5, 5))
-    with pytest.raises(ParameterError):
-        fano_line_count(construct("complete", 6), range(6))
 
 
 # ---------------------------------------------------------------------------
