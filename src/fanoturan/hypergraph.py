@@ -291,7 +291,7 @@ def from_json_dict(obj) -> Hypergraph:
     bits = 0
     prev = -1
     for e in edges:
-        if not (isinstance(e, list) and len(e) == 3 and all(isinstance(v, int) for v in e)):
+        if not (isinstance(e, list) and len(e) == 3 and all(type(v) is int for v in e)):
             raise FormatError(f"edge {e!r} must be a list of three integers")
         a, b, c = e
         if not 0 <= a < b < c < n:

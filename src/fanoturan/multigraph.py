@@ -6,9 +6,19 @@ layers containing that pair (bit l-1 for layer l).  The central pattern is a
 distinct layers: wx, yz in layer i; wy, xz in layer j; wz, xy in layer k with
 i, j, k pairwise distinct.  Multigraphs avoiding the pattern have a bounded
 edge total; this module computes the exact bound for small parameters by a
-two-phase branch and bound, provides the matching lower-bound constructions,
-and exhaustively verifies the structural facts about crossing-free 4-vertex
-5-multigraphs used downstream.
+deficit-bounded branch and bound, provides the matching lower-bound
+constructions, and exhaustively verifies the structural facts about
+crossing-free 4-vertex 5-multigraphs used downstream.
+
+The branch and bound closes its instances with vertex-order floors, the
+averaging argument of Katona, Nemetz and Simonovits (1964).  Crossing-freeness
+is hereditary, since the pattern lives on 4 vertices, and each pair lies in
+k-2 of the k vertex-deleted sub-multigraphs of a k-vertex one.  So a
+crossing-free multigraph with L_k edges on k vertices has a vertex whose
+deletion leaves at least L_{k-1} = ceil((k-2) L_k / k) edges.  Deleting such
+vertices from the back gives every crossing-free multigraph with at least T
+edges on n vertices a vertex order whose first k vertices span at least L_k
+edges, where L_n = T.
 """
 
 from __future__ import annotations
@@ -94,7 +104,7 @@ class PMultigraph:
         if not isinstance(d, dict) or set(d) != {"p", "n", "pairs"}:
             raise FormatError('multigraph object must have exactly the keys "p", "n", "pairs"')
         p, n, pairs = d["p"], d["n"], d["pairs"]
-        if not (isinstance(p, int) and isinstance(n, int) and isinstance(pairs, list)):
+        if not (type(p) is int and type(n) is int and isinstance(pairs, list)):  # bools are not counts
             raise FormatError("multigraph fields have wrong types")
         if not (1 <= p <= MAX_LAYERS and 1 <= n <= 64):
             raise FormatError(f"need 1 <= p <= {MAX_LAYERS} and 1 <= n <= 64, got p={p}, n={n}")
@@ -104,7 +114,7 @@ class PMultigraph:
             if not isinstance(item, dict) or set(item) != {"u", "v", "layers"}:
                 raise FormatError('pair objects must have exactly the keys "u", "v", "layers"')
             u, v, layers = item["u"], item["v"], item["layers"]
-            if not (isinstance(u, int) and isinstance(v, int) and 0 <= u < v < n):
+            if not (type(u) is int and type(v) is int and 0 <= u < v < n):
                 raise FormatError(f"bad pair ({u}, {v}) for n={n}")
             if prev is not None and (u, v) <= prev:
                 raise FormatError("pairs must be strictly increasing in lex order")
@@ -113,7 +123,7 @@ class PMultigraph:
                 raise FormatError(f"layers of pair ({u}, {v}) must be a nonempty ascending list")
             m = 0
             for l in layers:
-                if not (isinstance(l, int) and 1 <= l <= p):
+                if not (type(l) is int and 1 <= l <= p):
                     raise FormatError(f"layer {l} out of range [1, {p}]")
                 m |= 1 << (l - 1)
             if layers != sorted(set(layers)):
@@ -278,6 +288,15 @@ def f5_lower_constructions(n: int) -> tuple[tuple[PMultigraph, int], tuple[PMult
 # shape without changing totals or crossing structure.  The budget on the
 # remaining deficit comes from the seeded construction total, so only states
 # that could still beat the seed are expanded.
+#
+# Vertex-order floors tighten that budget rank by rank.  Colex order assigns
+# all C(k,2) pairs inside the first k vertices before any other pair, and a
+# multigraph that beats the seed, with T = seed + 1 edges or more, has a
+# vertex order whose first k vertices span at least L_k edges (L_n = T,
+# L_{k-1} = ceil((k-2) L_k / k); see the module docstring).  So while the pair
+# of rank t is assigned, the deficit used may not exceed p C(k,2) - L_k for
+# any k with t < C(k,2).  Relabelling vertices and permuting layers act
+# independently, so the layer-prefix symmetry breaking stays valid.
 # ---------------------------------------------------------------------------
 
 _CORE_RANKS = ((0, 5), (1, 4), (3, 2))  # matching slots among ranks 0..5
@@ -314,6 +333,29 @@ def _quad_descriptors(n: int) -> list[list[tuple[int, int, int, int, int]]]:
     return out
 
 
+def _deficit_ceilings(p: int, n: int, target: int) -> list[int]:
+    """Per pair rank, the most deficit a multigraph with target edges can have used.
+
+    Entry t is the minimum of p C(k,2) - L_k over the k <= n with t < C(k,2),
+    where L_n = target and L_{k-1} = ceil((k-2) L_k / k).  The k = n term is
+    p C(n,2) - target, the plain bound on the whole deficit.
+    """
+    floors = {n: target}
+    for k in range(n, 2, -1):
+        floors[k - 1] = -(-(k - 2) * floors[k] // k)
+    return [
+        min(p * comb(k, 2) - floor for k, floor in floors.items() if t < comb(k, 2))
+        for t in range(comb(n, 2))
+    ]
+
+
+def _seed_construction(p: int, n: int) -> tuple[PMultigraph, int]:
+    """The best crossing-free construction known for (p, n), with its total."""
+    if p == 4:
+        return extremal_4multigraph(n), f4_formula(n)
+    return max(f5_lower_constructions(n), key=lambda c: c[1])
+
+
 def max_edges_no_crossing(
     p: int,
     n: int,
@@ -324,28 +366,30 @@ def max_edges_no_crossing(
     """Exact maximum edge total of a crossing-free p-layer multigraph on n vertices.
 
     Seeded with the matching construction, then proves optimality by branch
-    and bound over per-pair deficits.  The (5, 6) instance exceeds the default
-    budget by orders of magnitude and must be requested with long_run=True.
-    Raises CapabilityError carrying best_found when the node budget runs out.
+    and bound over per-pair deficits, capped rank by rank by vertex-order
+    floors.  Supported: p = 4 with 3 <= n <= 9, and p = 5 with 3 <= n <= 6;
+    p = 5 with n = 7 or 8 takes tens of seconds and must be requested with
+    long_run=True.  Raises CapabilityError carrying best_found when the node
+    budget runs out or a long run is needed.
     """
     if p not in (4, 5):
         raise ParameterError(f"supported layer counts are 4 and 5, got {p}")
-    if not 3 <= n <= 6:
-        raise ParameterError(f"supported vertex counts are 3..6, got {n}")
-    if p == 5 and n == 6 and not long_run:
+    n_max = 9 if p == 4 else 8
+    if not 3 <= n <= n_max:
+        raise ParameterError(
+            f"supported vertex counts are 3..9 for p=4 and 3..8 for p=5 "
+            f"(7 and 8 behind long_run), got n={n} for p={p}"
+        )
+    if p == 5 and n > 6 and not long_run:
         raise CapabilityError(
-            "the (5, 6) search needs long_run=True and a node budget in the billions",
-            best_found=max(t for _, t in f5_lower_constructions(6)),
+            f"the (5, {n}) search takes tens of seconds and is gated behind long_run",
+            best_found=_seed_construction(p, n)[1],
         )
 
     if n == 3:
         return p * 3, PMultigraph.complete(p, n)
 
-    if p == 4:
-        seed_graph, seed_total = extremal_4multigraph(n), f4_formula(n)
-    else:
-        (g1, t1), (g2, t2) = f5_lower_constructions(n)
-        seed_graph, seed_total = (g1, t1) if t1 >= t2 else (g2, t2)
+    seed_graph, seed_total = _seed_construction(p, n)
     if has_three_crossing_pairs(seed_graph) is not None:
         raise AssertionError("seed construction must be crossing-free")
 
@@ -358,6 +402,7 @@ def max_edges_no_crossing(
     best = seed_total
     best_graph = seed_graph
     cap = p * npairs
+    ceilings = _deficit_ceilings(p, n, seed_total + 1)
     S = [0] * npairs
     nodes = 0
 
@@ -369,7 +414,7 @@ def max_edges_no_crossing(
                 best = total
                 best_graph = PMultigraph(p, n, tuple(S))
             return
-        budget = cap - best - 1 - deficit_used
+        budget = min(ceilings[t], cap - best - 1) - deficit_used
         if budget < 0:
             return
         checks = quads_at[t]

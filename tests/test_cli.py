@@ -190,9 +190,9 @@ def test_multigraph_search_and_gate(capsys):
     assert main(["multigraph", "search", "--p", "4", "--n", "4", "--format", "json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["max_edges"] == 20
-    assert main(["multigraph", "search", "--p", "5", "--n", "6"]) == 3
+    assert main(["multigraph", "search", "--p", "5", "--n", "7"]) == 3
     err = capsys.readouterr().err
-    assert "best_found=60" in err
+    assert "best_found=80" in err
 
 
 def test_multigraph_check_exit_codes(tmp_path, capsys):

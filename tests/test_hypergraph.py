@@ -209,6 +209,7 @@ def test_json_roundtrip_and_key_policy():
         {"n": "7", "edges": []},
         {"n": 7, "edges": 5},
         {"n": True, "edges": []},
+        {"n": 7, "edges": [[False, True, 2]]},
         [1, 2, 3],
     ):
         with pytest.raises(FormatError):

@@ -2,15 +2,18 @@
 
 import json
 import random
+import time
 from itertools import combinations, permutations
 from math import comb
 
 import pytest
 
+from fanoturan import multigraph
 from fanoturan.errors import CapabilityError, FormatError, ParameterError, VerificationError
 from fanoturan.multigraph import (
     CrossingWitness,
     PMultigraph,
+    _f5_upper_scaled,
     _sdr3,
     extremal_4multigraph,
     f4_formula,
@@ -100,6 +103,10 @@ def test_json_rejects_malformed_objects():
         lambda d: d.update(n=-1, pairs=[]),
         lambda d: d.update(n=10**6),
         lambda d: d.update(p=10**9),
+        lambda d: d.update(p=True, pairs=[{"u": 0, "v": 1, "layers": [1]}]),
+        lambda d: d.update(n=True, pairs=[]),
+        lambda d: d["pairs"][0].update(layers=[True]),
+        lambda d: d["pairs"][0].update(u=False),
     ):
         d = json.loads(json.dumps(good))
         mutate(d)
@@ -202,11 +209,52 @@ def test_exact_search_small_values():
 
 
 def test_exact_search_largest_four_layer_instance():
-    # the slowest ungated instance, about a minute of branch and bound
-    value, g = max_edges_no_crossing(4, 6)
-    assert value == f4_formula(6) == 48
-    assert g.edge_total() == 48
-    assert has_three_crossing_pairs(g) is None
+    # f_4(n) is the maximum section4-arith uses, and 4 f_5(n) <= 7 n^2 - n is
+    # the bound corollary-bf takes on trust.  The whole default range is
+    # inside the cap, so it must also finish in bounded time.
+    start = time.process_time()
+    for n in range(4, 10):
+        value, g = max_edges_no_crossing(4, n)
+        assert value == f4_formula(n) == g.edge_total()
+        assert has_three_crossing_pairs(g) is None
+    assert value == 112
+    for n in range(4, 7):
+        value, g = max_edges_no_crossing(5, n)
+        assert 4 * value <= _f5_upper_scaled(n)
+        assert value == g.edge_total()
+        assert has_three_crossing_pairs(g) is None
+    # About 0.5 s of CPU time; without the vertex-order floors (4, 6) alone took 86 s.
+    assert time.process_time() - start < 10
+
+
+def test_exact_search_floors_agree_with_the_plain_bound(monkeypatch):
+    floored = {pn: max_edges_no_crossing(*pn) for pn in ((4, 4), (5, 4), (4, 5))}
+    monkeypatch.setattr(
+        multigraph, "_deficit_ceilings",
+        lambda p, n, target: [p * comb(n, 2) - target] * comb(n, 2),
+    )
+    for (p, n), (value, g) in floored.items():
+        plain_value, plain_g = max_edges_no_crossing(p, n)
+        assert plain_value == value == g.edge_total() == plain_g.edge_total()
+        assert has_three_crossing_pairs(g) is None
+        assert has_three_crossing_pairs(plain_g) is None
+
+
+@pytest.mark.parametrize("shortfall", (1, 3))
+def test_exact_search_reaches_the_maximum_from_a_weaker_seed(monkeypatch, shortfall):
+    # The floors come from the seed total, so a seed below the maximum must
+    # still leave every optimum reachable.
+    seed_construction = multigraph._seed_construction
+
+    def weaker(p, n):
+        g, total = seed_construction(p, n)
+        return g, total - shortfall
+
+    monkeypatch.setattr(multigraph, "_seed_construction", weaker)
+    for p, n, want in ((4, 4, 20), (5, 4, 25), (4, 5, 32), (5, 5, 40), (4, 6, 48), (5, 6, 60)):
+        value, g = max_edges_no_crossing(p, n)
+        assert value == want == g.edge_total()
+        assert has_three_crossing_pairs(g) is None
 
 
 def test_exact_search_validation_and_gates():
@@ -217,10 +265,14 @@ def test_exact_search_validation_and_gates():
     with pytest.raises(ParameterError):
         max_edges_no_crossing(4, 2)
     with pytest.raises(ParameterError):
-        max_edges_no_crossing(4, 7)
+        max_edges_no_crossing(4, 10)
+    with pytest.raises(ParameterError):
+        max_edges_no_crossing(5, 9)
+    assert max_edges_no_crossing(4, 7)[0] == 66
+    assert max_edges_no_crossing(5, 6)[0] == 60
     with pytest.raises(CapabilityError) as info:
-        max_edges_no_crossing(5, 6)
-    assert info.value.best_found == 60
+        max_edges_no_crossing(5, 7)
+    assert info.value.best_found == 80 == max(t for _, t in f5_lower_constructions(7))
     with pytest.raises(CapabilityError) as info:
         max_edges_no_crossing(4, 5, node_budget=50)
     assert info.value.best_found is not None
