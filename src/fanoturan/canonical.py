@@ -27,7 +27,7 @@ from itertools import permutations
 from math import comb, factorial
 
 from .errors import CapabilityError, ParameterError
-from .hypergraph import Hypergraph, triple_rank
+from .hypergraph import Hypergraph
 
 CANONICAL_CAP = 12
 
@@ -42,10 +42,7 @@ class CanonicalForm:
     ranks: tuple[int, ...]
 
     def to_hypergraph(self) -> Hypergraph:
-        bits = 0
-        for r in self.ranks:
-            bits |= 1 << r
-        return Hypergraph(self.n, bits)
+        return Hypergraph.from_ranks(self.n, self.ranks)
 
 
 def relabel(h: Hypergraph, perm) -> Hypergraph:
@@ -53,11 +50,7 @@ def relabel(h: Hypergraph, perm) -> Hypergraph:
     perm = tuple(perm)
     if sorted(perm) != list(range(h.n)):
         raise ParameterError(f"perm must be a permutation of range({h.n})")
-    bits = 0
-    for a, b, c in h.edges():
-        x, y, z = sorted((perm[a], perm[b], perm[c]))
-        bits |= 1 << triple_rank(x, y, z)
-    return Hypergraph(h.n, bits)
+    return Hypergraph.from_edges(h.n, [(perm[a], perm[b], perm[c]) for a, b, c in h.edges()])
 
 
 @lru_cache(maxsize=65536)
@@ -159,5 +152,4 @@ def automorphism_count(h: Hypergraph) -> int:
 
 def is_canonical(h: Hypergraph) -> bool:
     """True iff h's own edge ranks already form the least sequence of its class."""
-    own = tuple(r for r in range(comb(h.n, 3)) if h.bits >> r & 1)
-    return canonical_form(h).ranks == own
+    return canonical_form(h).ranks == h.ranks()

@@ -2,14 +2,16 @@
 
 Every verification routine returns a Certificate whose JSON form has exactly
 the keys claim, verdict, space, visited, witnesses, seed, elapsed_ms and
-tool_version, in that order.  A passing certificate for an exhaustive claim
-must have visited == space (pruned mass is charged where it is cut, so the
-books always balance); a failing certificate must carry at least one witness.
+tool_version, in that order.  A failing certificate must carry at least one
+witness.
 
 Verifiers never build certificates themselves: each opens a ClaimRun with its
 claim id, state-space size and seed, and ends with run.passed(...) or
 run.fail(...), which raises VerificationError carrying the failing
-certificate.  Both stamp elapsed_ms from the clock the run started.
+certificate.  Both stamp elapsed_ms from the clock the run started.  Every
+claim is exhaustive, with pruned mass charged where it is cut, so the books
+must balance: run.passed raises AssertionError unless visited == space, and
+no verifier checks its own accounting.
 
 Checkpoint files are a one byte format version followed by fixed-size frames
 (frontier index, states accounted, survivors found), little endian.
@@ -88,6 +90,11 @@ class ClaimRun:
         raise VerificationError(msg, certificate=self._certificate(FAIL, visited, [witness]))
 
     def passed(self, visited: int, witnesses: list[Any]) -> Certificate:
+        """The passing certificate; raises AssertionError unless visited == space."""
+        if visited != self.space:
+            raise AssertionError(
+                f"{self.claim}: accounting mismatch, visited != space ({visited} != {self.space})"
+            )
         return self._certificate(PASS, visited, witnesses)
 
 
@@ -102,7 +109,7 @@ _FRAME = struct.Struct("<QQQ")  # frontier index, states accounted, survivors
 class CheckpointWriter:
     """Appends (frontier, accounted, found) frames at a configurable stride."""
 
-    def __init__(self, path: str, every: int = 10_000_000) -> None:
+    def __init__(self, path: str, every: int = 100_000_000) -> None:
         if every <= 0:
             raise ParameterError("checkpoint stride must be positive")
         self.path = path

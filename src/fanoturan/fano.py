@@ -26,12 +26,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import combinations, permutations
 from math import comb
+from operator import or_
 
 from .errors import CapabilityError, ParameterError
-from .hypergraph import FANO_LINES, Hypergraph, triple_rank
+from .hypergraph import FANO_LINES, Hypergraph, complement, triple_rank
 
 IMAGE_CAP = 12
 
@@ -49,42 +50,30 @@ def _images_base7() -> tuple[int, ...]:
     return tuple(sorted(seen))
 
 
-@lru_cache(maxsize=None)
 def fano_images(n: int) -> tuple[int, ...]:
-    """Edge bitmasks of every distinct plane copy on n labeled vertices."""
+    """Edge bitmasks of every distinct plane copy on n labeled vertices.
+
+    Built afresh on each call; cover_table(n) keeps the one cached copy.
+    """
     if n < 7:
         return ()
     if n > IMAGE_CAP:
         raise CapabilityError(f"plane image tables are capped at {IMAGE_CAP} vertices, got {n}")
-    base = _images_base7()
+    base = [Hypergraph(7, m).edges() for m in _images_base7()]
     seen = set()
     for sub in combinations(range(n), 7):
-        for mask7 in base:
-            m7, m = mask7, 0
-            while m7:
-                low = m7 & -m7
-                r = low.bit_length() - 1
-                a, b, c = _TRIPLES7[r]
-                m |= 1 << triple_rank(sub[a], sub[b], sub[c])
-                m7 ^= low
-            seen.add(m)
+        for lines in base:
+            ranks = (triple_rank(sub[a], sub[b], sub[c]) for a, b, c in lines)
+            seen.add(Hypergraph.from_ranks(n, ranks).bits)
     return tuple(sorted(seen))
 
 
-_TRIPLES7 = tuple((a, b, c) for c in range(2, 7) for b in range(1, c) for a in range(b))
-
-
-@lru_cache(maxsize=None)
 def triple_cover_masks(n: int) -> tuple[int, ...]:
-    """For each triple rank, the bitmask of plane images containing it."""
-    images = fano_images(n)
+    """For each triple rank, the bitmask of plane images containing it (uncached)."""
     masks = [0] * comb(n, 3)
-    for i, im in enumerate(images):
-        m = im
-        while m:
-            low = m & -m
-            masks[low.bit_length() - 1] |= 1 << i
-            m ^= low
+    for i, im in enumerate(fano_images(n)):
+        for r in Hypergraph(n, im).ranks():
+            masks[r] |= 1 << i
     return tuple(masks)
 
 
@@ -117,15 +106,12 @@ class CoverTable:
 def cover_table(n: int) -> CoverTable:
     """The cover table on n labeled vertices, built once per n."""
     masks = triple_cover_masks(n)
-    return CoverTable(
-        masks, (1 << len(fano_images(n))) - 1, max((m.bit_count() for m in masks), default=0)
-    )
+    return CoverTable(masks, reduce(or_, masks, 0), max((m.bit_count() for m in masks), default=0))
 
 
 def contains_fano_cover(h: Hypergraph) -> bool:
     """Image-table containment test: some plane copy is a subset of the edges."""
-    nonedges = ~h.bits
-    return not cover_table(h.n).hits_all(r for r in range(comb(h.n, 3)) if nonedges >> r & 1)
+    return not cover_table(h.n).hits_all(complement(h).ranks())
 
 
 # ---------------------------------------------------------------------------

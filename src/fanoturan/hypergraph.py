@@ -9,8 +9,10 @@ identified by its colexicographic rank
 
 and an edge set is a dense bitmask (a Python int) with bit ``rank`` set for
 each edge.  Colex ranks are independent of the ambient vertex count, so
-growing ``n`` never renumbers existing triples.  Vertex pairs (the layers of
-a multigraph) use the analogous pair rank ``C(b, 2) + a``.
+growing ``n`` never renumbers existing triples.  Hypergraph.from_ranks,
+Hypergraph.ranks and complement() convert rank sets, masks and complements
+for the other modules.  Vertex pairs (the layers of a multigraph) use the
+analogous pair rank ``C(b, 2) + a``.
 
 All values are immutable; operations return new objects.
 """
@@ -70,19 +72,31 @@ class Hypergraph:
             bits |= 1 << triple_rank(a, b, c)
         return cls(n, bits)
 
+    @classmethod
+    def from_ranks(cls, n: int, ranks) -> "Hypergraph":
+        """The hypergraph whose edges are the triples with the given colex ranks."""
+        bits = 0
+        for r in ranks:
+            bits |= 1 << r
+        return cls(n, bits)
+
     @property
     def edge_count(self) -> int:
         return self.bits.bit_count()
 
-    def edges(self) -> tuple[tuple[int, int, int], ...]:
-        """All edges as sorted triples, in colex order."""
+    def ranks(self) -> tuple[int, ...]:
+        """The colex ranks of all edges, ascending."""
         out = []
         m = self.bits
         while m:
             low = m & -m
-            out.append(TRIPLES[low.bit_length() - 1])
+            out.append(low.bit_length() - 1)
             m ^= low
         return tuple(out)
+
+    def edges(self) -> tuple[tuple[int, int, int], ...]:
+        """All edges as sorted triples, in colex order."""
+        return tuple(TRIPLES[r] for r in self.ranks())
 
     def has_edge(self, a: int, b: int, c: int) -> bool:
         a, b, c = sorted((a, b, c))
@@ -101,15 +115,12 @@ def b_formula(n: int) -> int:
     return (n - 2) * (n * n // 4) // 2
 
 
-def _bipartite_bits(n: int, in_x: list[bool]) -> int:
-    """Bitmask of all triples meeting both classes of the given 2-coloring."""
-    bits = 0
-    for r in range(comb(n, 3)):
-        a, b, c = TRIPLES[r]
-        s = in_x[a] + in_x[b] + in_x[c]
-        if 0 < s < 3:
-            bits |= 1 << r
-    return bits
+def _bipartite(n: int, in_x: list[bool]) -> Hypergraph:
+    """All triples meeting both classes of the given 2-coloring."""
+    triples = enumerate(TRIPLES[:comb(n, 3)])
+    return Hypergraph.from_ranks(
+        n, (r for r, (a, b, c) in triples if 0 < in_x[a] + in_x[b] + in_x[c] < 3)
+    )
 
 
 FANO_LINES: tuple[tuple[int, int, int], ...] = (
@@ -130,19 +141,16 @@ def construct(kind: str, n: int) -> Hypergraph:
     """
     _check_n(n)
     if kind == "complete":
-        return Hypergraph(n, (1 << comb(n, 3)) - 1)
+        return complement(Hypergraph(n, 0))
     if kind == "balanced_bipartite":
         if n < 2:
             raise ParameterError("balanced_bipartite requires n >= 2")
         in_x = [v < n // 2 for v in range(n)]
-        return Hypergraph(n, _bipartite_bits(n, in_x))
+        return _bipartite(n, in_x)
     if kind == "j7":
         if n != 7:
             raise ParameterError("j7 is only defined on 7 vertices")
-        bits = (1 << comb(7, 3)) - 1
-        for c in range(2, 7):
-            bits &= ~(1 << triple_rank(0, 1, c))
-        return Hypergraph(7, bits)
+        return complement(Hypergraph.from_edges(7, [(0, 1, c) for c in range(2, 7)]))
     if kind == "fano":
         if n != 7:
             raise ParameterError("fano is only defined on 7 vertices")
@@ -213,7 +221,7 @@ def recognize_balanced_bipartite(h: Hypergraph) -> tuple[tuple[int, ...], tuple[
     in_x = [False] * n
     for v in x_side:
         in_x[v] = True
-    if _bipartite_bits(n, in_x) != h.bits:
+    if _bipartite(n, in_x) != h:
         return None
     y_side = [v for v in range(n) if not in_x[v]]
     return tuple(sorted(x_side)), tuple(sorted(y_side))
@@ -224,11 +232,7 @@ def random_hypergraph(n: int, density: float, rng: random.Random) -> Hypergraph:
     _check_n(n)
     if not 0.0 <= density <= 1.0:
         raise ParameterError(f"density must lie in [0, 1], got {density!r}")
-    bits = 0
-    for r in range(comb(n, 3)):
-        if rng.random() < density:
-            bits |= 1 << r
-    return Hypergraph(n, bits)
+    return Hypergraph.from_ranks(n, (r for r in range(comb(n, 3)) if rng.random() < density))
 
 
 # ---------------------------------------------------------------------------
@@ -256,25 +260,17 @@ def parse_text(text: str) -> Hypergraph:
         raise FormatError(f"header must be two integers, got {rows[0]!r}") from exc
     if len(rows) - 1 != m:
         raise FormatError(f"header promises {m} edges but file has {len(rows) - 1}")
-    _check_n(n)
-    bits = 0
-    prev = -1
-    for ln in rows[1:]:
-        parts = ln.split()
-        if len(parts) != 3:
-            raise FormatError(f"edge line must have three vertices, got {ln!r}")
-        try:
-            a, b, c = (int(p) for p in parts)
-        except ValueError as exc:
-            raise FormatError(f"edge line must be integers, got {ln!r}") from exc
-        if not 0 <= a < b < c < n:
-            raise FormatError(f"edge {ln!r} is not an ascending triple below {n}")
-        r = triple_rank(a, b, c)
-        if r <= prev:
-            raise FormatError("edges must be distinct and sorted colexicographically")
-        prev = r
-        bits |= 1 << r
-    return Hypergraph(n, bits)
+    return _read_edges(n, rows[1:], _text_triple)
+
+
+def _text_triple(ln: str) -> list[int]:
+    parts = ln.split()
+    if len(parts) != 3:
+        raise FormatError(f"edge line must have three vertices, got {ln!r}")
+    try:
+        return [int(p) for p in parts]
+    except ValueError as exc:
+        raise FormatError(f"edge line must be integers, got {ln!r}") from exc
 
 
 def to_json_dict(h: Hypergraph) -> dict:
@@ -287,15 +283,28 @@ def from_json_dict(obj) -> Hypergraph:
     n, edges = obj["n"], obj["edges"]
     if type(n) is not int or not isinstance(edges, list):  # a bool is not a vertex count
         raise FormatError('"n" must be an integer and "edges" a list')
+    return _read_edges(n, edges, _json_triple)
+
+
+def _json_triple(e) -> list[int]:
+    if not (isinstance(e, list) and len(e) == 3 and all(type(v) is int for v in e)):
+        raise FormatError(f"edge {e!r} must be a list of three integers")
+    return e
+
+
+def _read_edges(n: int, rows, triple_of) -> Hypergraph:
+    """The hypergraph on n vertices whose edges triple_of reads from rows.
+
+    Each row must give an ascending triple below n, and the rows must be in
+    strictly increasing colex order; a row is quoted as-is in the error.
+    """
     _check_n(n)
     bits = 0
     prev = -1
-    for e in edges:
-        if not (isinstance(e, list) and len(e) == 3 and all(type(v) is int for v in e)):
-            raise FormatError(f"edge {e!r} must be a list of three integers")
-        a, b, c = e
+    for row in rows:
+        a, b, c = triple_of(row)
         if not 0 <= a < b < c < n:
-            raise FormatError(f"edge {e!r} is not an ascending triple below {n}")
+            raise FormatError(f"edge {row!r} is not an ascending triple below {n}")
         r = triple_rank(a, b, c)
         if r <= prev:
             raise FormatError("edges must be distinct and sorted colexicographically")

@@ -10,19 +10,22 @@ colex rank; whenever a child is rejected (not canonical, or provably unable
 to cover the remaining plane images) the engine charges the full count of
 size-complements through that child, so the books close exactly at
 C(#triples, size).  Both engines, and the apex link scans, read plane images
-only through fano.cover_table.
+only through fano.cover_table.  Survivors are rank tuples; Hypergraph.from_ranks
+and hypergraph.complement turn them back into hypergraphs.
 
 Claim verifiers build their certificates through a ClaimRun: they return
-run.passed(...) and end any counterexample with run.fail(...), which raises
-VerificationError carrying the failing certificate, so deliberately weakened
-inputs fail loudly instead of passing vacuously.  The claim table CLAIMS lists
-every registered claim once, in run order; run_claim, CLAIM_ORDER,
-LONG_RUN_CLAIMS and the command line all read it.
+run.passed(...), which checks visited == space, and end any counterexample
+with run.fail(...), which raises VerificationError carrying the failing
+certificate, so deliberately weakened inputs fail loudly instead of passing
+vacuously.  The claim table CLAIMS lists every registered claim once, in run
+order; run_claim, CLAIM_ORDER, LONG_RUN_CLAIMS and the command line all read
+it.
 """
 
 from __future__ import annotations
 
 import random
+from contextlib import nullcontext
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
@@ -143,13 +146,6 @@ def _canonical_survivors(
     return ScanResult(survivors, accounted, nodes)
 
 
-def _bits_of(ranks) -> int:
-    bits = 0
-    for r in ranks:
-        bits |= 1 << r
-    return bits
-
-
 # ---------------------------------------------------------------------------
 # Extremal values.
 # ---------------------------------------------------------------------------
@@ -168,11 +164,10 @@ def max_fano_free_edges(n: int, *, long_run: bool = False) -> tuple[int, list[Ca
             "the 8-vertex boundary scan is gated behind long_run", best_found=b_formula(8)
         )
     T = comb(n, 3)
-    full = (1 << T) - 1
     for c in range(T + 1):
         survivors = _canonical_survivors(n, c).survivors
         if survivors:
-            classes = [canonical_form(Hypergraph(n, full ^ _bits_of(r))) for r in survivors]
+            classes = [canonical_form(complement(Hypergraph.from_ranks(n, r))) for r in survivors]
             return T - c, sorted(classes, key=lambda f: f.ranks)
     raise AssertionError("even the empty hypergraph should survive")
 
@@ -204,10 +199,7 @@ def verify_lemma_n7(
 
     scan = _raw_survivors(7, 5)
     visited = scan.accounted
-    if visited != space:
-        raise AssertionError(f"accounting mismatch: {visited} != {space}")
     comp_groups: dict[CanonicalForm, list[tuple[int, ...]]] = {}
-    full = (1 << 35) - 1
     for ranks in scan.survivors:
         for ra, rb in combinations(ranks, 2):
             shared = len(set(TRIPLES[ra]) & set(TRIPLES[rb]))
@@ -216,11 +208,11 @@ def verify_lemma_n7(
                     visited, {"complement_ranks": list(ranks), "shared_vertices": shared},
                     "missing triples share exactly one vertex",
                 )
-        primal = Hypergraph(7, full ^ _bits_of(ranks))
-        if contains_fano_embedding(primal):
+        comp = Hypergraph.from_ranks(7, ranks)
+        if contains_fano_embedding(complement(comp)):
             run.fail(visited, {"complement_ranks": list(ranks)},
                      "image cover test and embedding detector disagree")
-        comp_groups.setdefault(canonical_form(Hypergraph(7, _bits_of(ranks))), []).append(ranks)
+        comp_groups.setdefault(canonical_form(comp), []).append(ranks)
 
     labeled = sum(len(v) for v in comp_groups.values())
     if labeled != 56 or len(comp_groups) != 2:
@@ -229,7 +221,7 @@ def verify_lemma_n7(
 
     found: dict[CanonicalForm, dict] = {}
     for comp_form, members in comp_groups.items():
-        rep = Hypergraph(7, full ^ _bits_of(members[0]))
+        rep = complement(Hypergraph.from_ranks(7, members[0]))
         form = canonical_form(rep)
         orbit = 5040 // automorphism_count(rep)
         if orbit != len(members):
@@ -269,8 +261,6 @@ def verify_ex7(*, seed: int = 0) -> Certificate:
         if c < 5 and scan.survivors:
             run.fail(visited, {"complement_ranks": list(scan.survivors[0]), "edges": 35 - c},
                      "Fano-free hypergraph above 30 edges")
-    if visited != space:
-        raise AssertionError(f"accounting mismatch: {visited} != {space}")
     if len(scan.survivors) != 56:
         run.fail(visited, {"survivors": len(scan.survivors)},
                  "wrong survivor count at the boundary")
@@ -290,7 +280,6 @@ def verify_ex8(
     long_run: bool = False,
     seed: int = 0,
     checkpoint_path: str | None = None,
-    checkpoint_every: int = 100_000_000,
 ) -> Certificate:
     """The 8-vertex maximum is 48 with one extremal class.
 
@@ -312,21 +301,16 @@ def verify_ex8(
         run.fail(visited, {"complement_ranks": list(scan7.survivors[0])},
                  "a 49-edge Fano-free hypergraph exists")
 
-    writer = CheckpointWriter(checkpoint_path, checkpoint_every) if checkpoint_path else None
-    try:
+    with CheckpointWriter(checkpoint_path) if checkpoint_path else nullcontext() as writer:
         scan8 = _canonical_survivors(8, 8, checkpoint=writer)
-    finally:
-        if writer is not None:
-            writer.close()
     visited += scan8.accounted
 
-    full = (1 << 56) - 1
-    classes = {canonical_form(Hypergraph(8, _bits_of(r))): r for r in scan8.survivors}
+    comps = (Hypergraph.from_ranks(8, r) for r in scan8.survivors)
+    classes = {canonical_form(comp): comp for comp in comps}
     if len(classes) != 1:
         run.fail(visited, {"classes": len(classes)}, "expected exactly one extremal class")
-    (comp_form, ranks), = classes.items()
-    comp = Hypergraph(8, _bits_of(ranks))
-    primal = Hypergraph(8, full ^ comp.bits)
+    (comp_form, comp), = classes.items()
+    primal = complement(comp)
     b8 = construct("balanced_bipartite", 8)
     checks = {
         "canonical_match": canonical_form(primal) == canonical_form(b8),
@@ -348,8 +332,6 @@ def verify_ex8(
         and checks["fano_free_all_detectors"]
     ):
         run.fail(visited, checks, "extremal class validation failed")
-    if visited != space:
-        raise AssertionError(f"accounting mismatch: visited {visited} != space {space}")
     return run.passed(visited, [{"max_edges": 48, "labeled_extremals": 35,
                                  "extremal": to_json_dict(canonical_form(primal).to_hypergraph())}])
 
@@ -405,9 +387,7 @@ def verify_lemma_2_3(*, min_link_degree: int = 11, seed: int = 0) -> Certificate
     fano_free_seen = 0
     for comp in comp_choices:
         base_cov = table.cover(triple_rank(*_SIX_TRIPLES[i]) for i in comp)
-        base6 = Hypergraph.from_edges(
-            6, [t for i, t in enumerate(_SIX_TRIPLES) if i not in comp]
-        )
+        base6 = complement(Hypergraph.from_edges(6, [_SIX_TRIPLES[i] for i in comp]))
         base_is_b6 = recognize_balanced_bipartite(base6) is not None
         for m in link_masks:
             visited += 1
@@ -425,8 +405,6 @@ def verify_lemma_2_3(*, min_link_degree: int = 11, seed: int = 0) -> Certificate
                     },
                     "Fano-free dense state with non-bipartite base",
                 )
-    if visited != space:
-        raise AssertionError(f"accounting mismatch: {visited} != {space}")
     if fano_free_seen == 0:
         run.fail(visited, {"fano_free_states": 0}, "scan was vacuous")
     return run.passed(visited, [{"fano_free_states": fano_free_seen,
@@ -570,23 +548,25 @@ def verify_fact_tetra(n: int | None = None, *, seed: int = 0) -> Certificate:
     for m in targets:
         T = comb(m, 3)
         c = T - b_formula(m)
-        quad_masks = []
-        for quad in combinations(range(m), 4):
-            qm = 0
+        # per triple rank, the 4-sets containing it: a hypergraph has no
+        # tetrahedron iff its missing triples hit every 4-set
+        quads_through = [0] * T
+        for i, quad in enumerate(combinations(range(m), 4)):
             for t in combinations(quad, 3):
-                qm |= 1 << triple_rank(*t)
-            quad_masks.append(qm)
+                quads_through[triple_rank(*t)] |= 1 << i
+        every_quad = (1 << comb(m, 4)) - 1
         total = comb(T, c)
         sample = set(rng.sample(range(total), min(100, total)))
-        full = (1 << T) - 1
         for idx, ranks in enumerate(combinations(range(T), c)):
             visited += 1
-            cb = _bits_of(ranks)
-            if not any(qm & cb == 0 for qm in quad_masks):
+            hit = 0
+            for r in ranks:
+                hit |= quads_through[r]
+            if hit == every_quad:
                 run.fail(visited, {"n": m, "complement_ranks": list(ranks)},
                          "a hypergraph at the balanced count with no tetrahedron")
             if idx in sample:
-                if find_clique(Hypergraph(m, full ^ cb), 4) is None:
+                if find_clique(complement(Hypergraph.from_ranks(m, ranks)), 4) is None:
                     run.fail(visited, {"n": m, "complement_ranks": list(ranks)},
                              "clique finder disagrees with the mask scan")
 
@@ -594,8 +574,6 @@ def verify_fact_tetra(n: int | None = None, *, seed: int = 0) -> Certificate:
         visited += 1
         if not 3 * comb(m, 3) < 4 * b_formula(m):
             run.fail(visited, {"n": m}, "count comparison chain fails")
-    if visited != space:
-        raise AssertionError(f"accounting mismatch: {visited} != {space}")
     return run.passed(visited, [{"vertex_counts": list(targets), "chain_checked_to": 64}])
 
 

@@ -172,8 +172,7 @@ def test_criterion_10_detector_agreement():
 def test_criterion_11_eight_vertex_boundary_long_run(tmp_path):
     with _Budget(11, 14400, "ex(8) = 48 with B_8 unique, checkpointed scan"):
         path = str(tmp_path / "ex8.ckpt")
-        cert = verify_ex8(long_run=True, checkpoint_path=path,
-                          checkpoint_every=100_000_000)
+        cert = verify_ex8(long_run=True, checkpoint_path=path)
         assert cert.passed()
         assert cert.space == comb(56, 7) + comb(56, 8)
         assert cert.visited == cert.space

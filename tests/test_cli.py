@@ -14,6 +14,10 @@ from fanoturan.cli import build_parser, emit_report, main
 from fanoturan.hypergraph import construct, from_json_dict, parse_text, to_json_dict
 
 
+# `verify all --long-run --format json --seed 42` without elapsed_ms
+PINNED = Path(__file__).resolve().parent / "data" / "certificates_seed42.json"
+
+
 def _strip_elapsed(report_text):
     certs = json.loads(report_text)
     for c in certs:
@@ -138,11 +142,14 @@ def test_verify_all_is_deterministic_modulo_elapsed(capsys):
     second = capsys.readouterr().out
     assert first != "" and second != ""
     assert _strip_elapsed(first) == _strip_elapsed(second)
-    claims = [c["claim"] for c in json.loads(first)]
-    assert claims == [
+    certs = json.loads(first)
+    assert [c["claim"] for c in certs] == [
         "ex-7", "lemma-n7", "fact-tetra", "lemma-2-3", "fact-2-4",
         "matching-facts", "lemma-4vertex", "corollary-bf", "section4-arith",
     ]
+    for c in certs:
+        del c["elapsed_ms"]
+    assert certs == json.loads(PINNED.read_text(encoding="utf-8"))[:9]
 
 
 def test_verify_parallel_jobs_match_serial(capsys):

@@ -99,6 +99,7 @@ def test_hypergraph_edge_roundtrip_and_membership():
         ranks = [triple_rank(*t) for t in edges]
         assert ranks == sorted(ranks)
         assert Hypergraph.from_edges(n, edges) == h
+        assert Hypergraph.from_ranks(h.n, h.ranks()) == h
         for t in edges:
             assert h.has_edge(*t)
 

@@ -1,5 +1,6 @@
 """Exhaustive verifiers: boundary scans, classification, and certificates."""
 
+import json
 import random
 from itertools import combinations
 from math import comb
@@ -12,6 +13,7 @@ from fanoturan.canonical import canonical_form
 from fanoturan.certificate import (
     Certificate,
     CheckpointWriter,
+    ClaimRun,
     read_checkpoint,
 )
 from fanoturan.errors import (
@@ -43,6 +45,9 @@ from fanoturan.search import (
     verify_lemma_n7,
     verify_matching_facts,
 )
+
+# `verify all --long-run --format json --seed 42` without elapsed_ms
+PINNED = Path(__file__).resolve().parent / "data" / "certificates_seed42.json"
 
 
 # ---------------------------------------------------------------------------
@@ -244,8 +249,11 @@ def test_ex8_long_run_with_checkpoints(tmp_path):
     path = str(tmp_path / "scan.ckpt")
     with pytest.raises(CapabilityError):
         verify_ex8()
-    cert = verify_ex8(long_run=True, checkpoint_path=path, checkpoint_every=200_000_000)
+    cert = verify_ex8(long_run=True, checkpoint_path=path, seed=42)
     assert cert.passed()
+    record = json.loads(json.dumps(cert.to_json_dict()))
+    del record["elapsed_ms"]
+    assert record == json.loads(PINNED.read_text(encoding="utf-8"))[CLAIM_ORDER.index("ex-8")]
     assert cert.space == comb(56, 7) + comb(56, 8) == 1652411475
     assert cert.visited == cert.space
     payload = cert.witnesses[0]
@@ -317,6 +325,12 @@ def test_certificate_roundtrip_and_validation():
         Certificate(claim="demo", verdict="pass", space=-1, visited=0)
     with pytest.raises(FormatError):
         Certificate.from_json_dict({"claim": "demo"})
+
+
+def test_claim_run_passes_only_with_exact_accounting():
+    assert ClaimRun("demo", 10, 0).passed(10, []).passed()
+    with pytest.raises(AssertionError):
+        ClaimRun("demo", 10, 0).passed(9, [])
 
 
 def test_checkpoint_roundtrip_and_corruption(tmp_path):
