@@ -38,7 +38,6 @@ from .fano import (
     contains_fano_embedding,
     contains_fano_pasch,
     embedding_edges,
-    fano_images,
     find_clique,
     find_fano_crossing,
     find_fano_embedding,

@@ -103,18 +103,19 @@ class ClaimRun:
 # ---------------------------------------------------------------------------
 
 CHECKPOINT_VERSION = 1
+CHECKPOINT_EVERY = 100_000_000  # states accounted between stride frames
 _FRAME = struct.Struct("<QQQ")  # frontier index, states accounted, survivors
 
 
 class CheckpointWriter:
-    """Appends (frontier, accounted, found) frames at a configurable stride."""
+    """Appends (frontier, accounted, found) frames to a new file at path.
 
-    def __init__(self, path: str, every: int = 100_000_000) -> None:
-        if every <= 0:
-            raise ParameterError("checkpoint stride must be positive")
-        self.path = path
-        self.every = every
-        self._next = every
+    maybe_write adds one per CHECKPOINT_EVERY states accounted (the stride
+    is read when the writer opens); write adds one unconditionally.
+    """
+
+    def __init__(self, path: str) -> None:
+        self._every = self._next = CHECKPOINT_EVERY
         self._fh = open(path, "wb")
         self._fh.write(bytes([CHECKPOINT_VERSION]))
 
@@ -122,7 +123,7 @@ class CheckpointWriter:
         if accounted >= self._next:
             self.write(frontier, accounted, found)
             while self._next <= accounted:
-                self._next += self.every
+                self._next += self._every
 
     def write(self, frontier: int, accounted: int, found: int) -> None:
         self._fh.write(_FRAME.pack(frontier, accounted, found))

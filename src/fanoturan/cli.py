@@ -352,7 +352,7 @@ def main(argv=None) -> int:
     except FormatError as exc:
         print(f"format error: {exc}", file=sys.stderr)
         return 2
-    except ParameterError as exc:
+    except (ParameterError, OSError) as exc:  # an unreadable or unwritable path is bad usage
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except CapabilityError as exc:

@@ -12,8 +12,10 @@ cross-validate each other:
                         one full parity class of transversal triples (a
                         Pasch configuration) present as edges.
 
-Each detector returns a witness object exposing ``fano_edges()``, the seven
-edges of the found copy, so soundness is checkable edge by edge.
+The embedding detector returns the point images, which embedding_edges turns
+into edges; the other two return a witness object exposing ``fano_edges()``.
+find_fano_edges gives the seven edges of the found copy for any method, so
+soundness is checkable edge by edge.
 
 For enumeration hot loops there is also a containment test based on
 precomputed plane images, kept per vertex count in one cached CoverTable: a
@@ -38,42 +40,37 @@ IMAGE_CAP = 12
 
 
 @lru_cache(maxsize=None)
-def _images_base7() -> tuple[int, ...]:
-    """Edge bitmasks of the 30 distinct plane copies on 7 labeled vertices."""
-    seen = set()
-    for s in permutations(range(7)):
-        m = 0
-        for a, b, c in FANO_LINES:
-            x, y, z = sorted((s[a], s[b], s[c]))
-            m |= 1 << triple_rank(x, y, z)
-        seen.add(m)
-    return tuple(sorted(seen))
+def _images_base7() -> tuple[tuple[tuple[int, int, int], ...], ...]:
+    """The lines of the 30 distinct plane copies on 7 labeled vertices.
 
-
-def fano_images(n: int) -> tuple[int, ...]:
-    """Edge bitmasks of every distinct plane copy on n labeled vertices.
-
-    Built afresh on each call; cover_table(n) keeps the one cached copy.
+    The plane's automorphisms act transitively on its points, so every copy
+    is the image of a relabeling that fixes point 0: the 720 such relabelings
+    reach all 5040 / 168 = 30 copies.
     """
-    if n < 7:
-        return ()
-    if n > IMAGE_CAP:
-        raise CapabilityError(f"plane image tables are capped at {IMAGE_CAP} vertices, got {n}")
-    base = [Hypergraph(7, m).edges() for m in _images_base7()]
     seen = set()
-    for sub in combinations(range(n), 7):
-        for lines in base:
-            ranks = (triple_rank(sub[a], sub[b], sub[c]) for a, b, c in lines)
-            seen.add(Hypergraph.from_ranks(n, ranks).bits)
+    for rest in permutations(range(1, 7)):
+        s = (0, *rest)
+        seen.add(tuple(sorted(tuple(sorted((s[a], s[b], s[c]))) for a, b, c in FANO_LINES)))
     return tuple(sorted(seen))
 
 
 def triple_cover_masks(n: int) -> tuple[int, ...]:
-    """For each triple rank, the bitmask of plane images containing it (uncached)."""
+    """For each triple rank, the bitmask of plane images containing it (uncached).
+
+    Image i is the i-th pair of a 7-subset (in lex order) and a copy of
+    _images_base7 placed on it.  Copies on different 7-subsets differ, so
+    the 30 C(n, 7) images are distinct.
+    """
+    if n > IMAGE_CAP:
+        raise CapabilityError(f"plane image tables are capped at {IMAGE_CAP} vertices, got {n}")
     masks = [0] * comb(n, 3)
-    for i, im in enumerate(fano_images(n)):
-        for r in Hypergraph(n, im).ranks():
-            masks[r] |= 1 << i
+    bit = 1
+    base = _images_base7()
+    for sub in combinations(range(n), 7):
+        for lines in base:
+            for a, b, c in lines:
+                masks[triple_rank(sub[a], sub[b], sub[c])] |= bit
+            bit <<= 1
     return tuple(masks)
 
 

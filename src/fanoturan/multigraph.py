@@ -58,35 +58,14 @@ class PMultigraph:
                 raise ParameterError(f"pair mask {m:#x} has bits outside the {self.p} layers")
 
     @classmethod
-    def empty(cls, p: int, n: int) -> "PMultigraph":
-        return cls(p, n, (0,) * comb(n, 2))
-
-    @classmethod
     def complete(cls, p: int, n: int) -> "PMultigraph":
         return cls(p, n, ((1 << p) - 1,) * comb(n, 2))
 
     def multiplicity(self, u: int, v: int) -> int:
         return self.memb[pair_rank(*sorted((u, v)))].bit_count()
 
-    def layers(self, u: int, v: int) -> tuple[int, ...]:
-        m = self.memb[pair_rank(*sorted((u, v)))]
-        return tuple(l + 1 for l in range(self.p) if m >> l & 1)
-
     def edge_total(self) -> int:
         return sum(m.bit_count() for m in self.memb)
-
-    def layer_pairs(self, layer: int) -> tuple[tuple[int, int], ...]:
-        """Pairs present in one layer (1-indexed), lex sorted."""
-        if not 1 <= layer <= self.p:
-            raise ParameterError(f"layer must be in [1, {self.p}], got {layer}")
-        bit = 1 << (layer - 1)
-        out = [
-            (u, v)
-            for u in range(self.n)
-            for v in range(u + 1, self.n)
-            if self.memb[pair_rank(u, v)] & bit
-        ]
-        return tuple(out)
 
     def to_json_dict(self) -> dict:
         pairs = []
@@ -370,12 +349,15 @@ def max_edges_no_crossing(
     floors.  Supported: p = 4 with 3 <= n <= 9, and p = 5 with 3 <= n <= 6;
     p = 5 with n = 7 or 8 takes tens of seconds and must be requested with
     long_run=True.  Raises CapabilityError carrying best_found when the node
-    budget runs out or a long run is needed.
+    budget runs out or a long run is needed, and ParameterError for a node
+    budget below 1.
     """
+    if node_budget < 1:
+        raise ParameterError(f"node budget must be at least 1, got {node_budget}")
     if p not in (4, 5):
         raise ParameterError(f"supported layer counts are 4 and 5, got {p}")
-    n_max = 9 if p == 4 else 8
-    if not 3 <= n <= n_max:
+    largest = 9 if p == 4 else 8
+    if not 3 <= n <= largest:
         raise ParameterError(
             f"supported vertex counts are 3..9 for p=4 and 3..8 for p=5 "
             f"(7 and 8 behind long_run), got n={n} for p={p}"
@@ -455,17 +437,20 @@ def _core_multigraph(ca, cb, cc) -> PMultigraph:
     return PMultigraph(5, 4, tuple(memb))
 
 
-# The edge totals from which the paper's 4-vertex lemma asserts its two facts.
+# The paper's 4-vertex lemma: from edge total 23 some matching has
+# pair-multiplicity sum at most 5, and from 22 some pair lies in all 5 layers.
 LEMMA_4VERTEX_MIN_SUM = 23
+LEMMA_4VERTEX_SUM_BOUND = 5
 LEMMA_4VERTEX_FULL_PAIR = 22
 
 
-def verify_lemma_4vertex(*, sum_bound: int = 5, seed: int = 0) -> Certificate:
+def verify_lemma_4vertex(*, seed: int = 0) -> Certificate:
     """Scan all 5-layer multigraphs on 4 vertices for two structural facts.
 
     For every crossing-free state: with edge total >= LEMMA_4VERTEX_MIN_SUM
-    some matching has pair-multiplicity sum <= sum_bound, and with edge total
-    >= LEMMA_4VERTEX_FULL_PAIR some single pair lies in all five layers.
+    some matching has pair-multiplicity sum <= LEMMA_4VERTEX_SUM_BOUND, and
+    with edge total >= LEMMA_4VERTEX_FULL_PAIR some single pair lies in all
+    five layers.
     States are ranged over as deficit-sorted multisets of ordered matching
     assignments with multiplicities 1, 3 or 6 (the symmetry group of the
     4-vertex set permutes the three matchings slot-preservingly).  The states
@@ -473,9 +458,14 @@ def verify_lemma_4vertex(*, sum_bound: int = 5, seed: int = 0) -> Certificate:
     so the ClaimRun's visited == space check reconciles the scan exactly.
     """
     p = 5
+    full = (1 << p) - 1
+    # the lemma's numbers, bound to locals for the hot loop
+    min_sum, max_sum, full_pair = (
+        LEMMA_4VERTEX_MIN_SUM, LEMMA_4VERTEX_SUM_BOUND, LEMMA_4VERTEX_FULL_PAIR
+    )
     space = (1 << (2 * p)) ** 3
     run = ClaimRun("lemma-4vertex", space, seed)
-    cutoff = 2 * 3 * p - min(LEMMA_4VERTEX_MIN_SUM, LEMMA_4VERTEX_FULL_PAIR)
+    cutoff = 2 * 3 * p - min(min_sum, full_pair)
     combos, _ = _combo_table(p)
     sdr = _sdr_table(p)
     ncombos = len(combos)
@@ -525,13 +515,12 @@ def verify_lemma_4vertex(*, sum_bound: int = 5, seed: int = 0) -> Certificate:
                     continue
                 n_free += mult
                 e = 6 * p - d
-                if e >= LEMMA_4VERTEX_MIN_SUM:
+                if e >= min_sum:
                     n_min_sum_checked += mult
-                    if 2 * p - dc > sum_bound:  # dc is the largest deficit
+                    if 2 * p - dc > max_sum:  # dc is the largest deficit
                         fail(ca, cb, cc, "min matching sum exceeds bound", e)
-                if e >= LEMMA_4VERTEX_FULL_PAIR:
+                if e >= full_pair:
                     n_full_pair_checked += mult
-                    full = (1 << p) - 1
                     if not any(
                         combo[1] == full or combo[2] == full for combo in (ca, cb, cc)
                     ):
@@ -550,21 +539,23 @@ def verify_lemma_4vertex(*, sum_bound: int = 5, seed: int = 0) -> Certificate:
 # Integer inequality chains.
 # ---------------------------------------------------------------------------
 
+# The paper's deletion inequalities and Section 4 identities are checked for
+# every n up to this bound.
+INEQUALITY_N_MAX = 10001
+
+
 def _f5_upper_scaled(m: int) -> int:
     """4 times the real upper bound (7 m^2 - m) / 4 on the 5-layer maximum."""
     return 7 * m * m - m
 
 
-def verify_corollary_inequalities(n_max: int = 10001, *, flip: bool = False, seed: int = 0) -> Certificate:
-    """Check the two deletion inequalities for every odd n in [9, n_max].
+def verify_corollary_inequalities(*, seed: int = 0) -> Certificate:
+    """Check the two deletion inequalities for every odd n in [9, INEQUALITY_N_MAX].
 
     Everything is multiplied by 4 so the fractional 5-layer bound becomes the
-    integer 7 m^2 - m and the checks stay exact.  flip=True asserts the
-    reversed comparisons instead, which must fail immediately.
+    integer 7 m^2 - m and the checks stay exact.
     """
-    if n_max < 9:
-        raise ParameterError(f"need n_max >= 9, got {n_max}")
-    odds = range(9, n_max + 1, 2)
+    odds = range(9, INEQUALITY_N_MAX + 1, 2)
     space = len(odds)
     run = ClaimRun("corollary-bf", space, seed)
     visited = 0
@@ -577,11 +568,8 @@ def verify_corollary_inequalities(n_max: int = 10001, *, flip: bool = False, see
             + 4 * (comb(m6, 2) + 10 * m6 + 20)
         )
         rhs = 4 * b_formula(n)
-        ok_a, ok_b = lhs_a < rhs, lhs_b < rhs
-        if flip:
-            ok_a, ok_b = not ok_a, not ok_b
         visited += 1
-        if not (ok_a and ok_b):
+        if not (lhs_a < rhs and lhs_b < rhs):
             run.fail(
                 visited,
                 {
@@ -589,36 +577,26 @@ def verify_corollary_inequalities(n_max: int = 10001, *, flip: bool = False, see
                     "scaled_lhs_a": lhs_a,
                     "scaled_lhs_b": lhs_b,
                     "scaled_rhs": rhs,
-                    "flipped": flip,
                 },
                 "deletion inequality violated",
             )
     return run.passed(visited, [])
 
 
-def verify_section4_arithmetic(
-    n_max: int = 10001, *, drop_term: bool = False, seed: int = 0
-) -> Certificate:
-    """Exact identities: the odd-n edge count split and the even-n increment.
+def verify_section4_arithmetic(*, seed: int = 0) -> Certificate:
+    """Exact identities for every n up to INEQUALITY_N_MAX.
 
     For odd n >= 9: b(n-4) + f4(n-4) + 5(n-4) + 4 == b(n).
     For even n >= 4: b(n) - b(n-1) == 3 C(n/2, 2).
-
-    drop_term omits the trailing constant from the odd identity; it exists so
-    the harness can demonstrate that a wrong identity is caught, not silently
-    absorbed.
     """
-    if n_max < 9:
-        raise ParameterError(f"need n_max >= 9, got {n_max}")
-    odds = range(9, n_max + 1, 2)
-    evens = range(4, n_max + 1, 2)
+    odds = range(9, INEQUALITY_N_MAX + 1, 2)
+    evens = range(4, INEQUALITY_N_MAX + 1, 2)
     space = len(odds) + len(evens)
     run = ClaimRun("section4-arith", space, seed)
     visited = 0
-    tail = 0 if drop_term else 4
     for n in odds:
         visited += 1
-        lhs = b_formula(n - 4) + f4_formula(n - 4) + 5 * (n - 4) + tail
+        lhs = b_formula(n - 4) + f4_formula(n - 4) + 5 * (n - 4) + 4
         if lhs != b_formula(n):
             run.fail(visited, {"n": n, "lhs": lhs, "rhs": b_formula(n)},
                      "odd split identity violated")

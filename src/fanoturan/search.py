@@ -19,7 +19,7 @@ with run.fail(...), which raises VerificationError carrying the failing
 certificate, so deliberately weakened inputs fail loudly instead of passing
 vacuously.  The claim table CLAIMS lists every registered claim once, in run
 order; run_claim, CLAIM_ORDER, LONG_RUN_CLAIMS and the command line all read
-it.
+it.  A verifier takes only what run_claim hands it.
 """
 
 from __future__ import annotations
@@ -57,6 +57,11 @@ from .multigraph import (  # run by name from CLAIMS
 )
 
 RAW_STATE_CAP = 2_000_000
+
+# The fixed numbers of the paper's finite steps, read when a verifier runs.
+LEMMA_N7_FAMILIES = ("balanced_bipartite", "j7")  # B_7 and J_7, the classes of ex(7) = 30
+LEMMA_2_3_MIN_LINK_DEGREE = 11  # Lemma 2.3's lower bound on the seventh vertex's link
+FACT_TETRA_VERTEX_COUNTS = (4, 5, 6, 7)  # scanned exhaustively; the count chain runs to 64
 
 
 @dataclass
@@ -176,26 +181,19 @@ def max_fano_free_edges(n: int, *, long_run: bool = False) -> tuple[int, list[Ca
 # Seven-vertex classification.
 # ---------------------------------------------------------------------------
 
-def verify_lemma_n7(
-    expected_classes: tuple[CanonicalForm, ...] | None = None, *, seed: int = 0
-) -> Certificate:
+def verify_lemma_n7(*, seed: int = 0) -> Certificate:
     """Classify all 30-edge Fano-free hypergraphs on 7 vertices.
 
     Scans every 5-edge complement, checks the complement dichotomy (any two
     missing triples share 0 or 2 vertices), groups survivors up to
-    isomorphism and matches the classes against the expected ones: the
-    balanced bipartite hypergraph and the complete hypergraph minus the five
-    triples through one pair.  Labeled counts and automorphism orbit sizes
-    must agree.
+    isomorphism and matches the classes against the constructions named in
+    LEMMA_N7_FAMILIES: the balanced bipartite hypergraph and the complete
+    hypergraph minus the five triples through one pair.  Labeled counts and
+    automorphism orbit sizes must agree.
     """
     space = comb(35, 5)
     run = ClaimRun("lemma-n7", space, seed)
-    if expected_classes is None:
-        expected_classes = (
-            canonical_form(construct("balanced_bipartite", 7)),
-            canonical_form(construct("j7", 7)),
-        )
-    expected = set(expected_classes)
+    expected = {canonical_form(construct(kind, 7)) for kind in LEMMA_N7_FAMILIES}
 
     scan = _raw_survivors(7, 5)
     visited = scan.accounted
@@ -357,14 +355,14 @@ def _apex_hypergraph(comp_triples, link_mask: int) -> Hypergraph:
     return Hypergraph.from_edges(7, edges)
 
 
-def verify_lemma_2_3(*, min_link_degree: int = 11, seed: int = 0) -> Certificate:
+def verify_lemma_2_3(*, seed: int = 0) -> Certificate:
     """Dense Fano-free 7-vertex hypergraphs have a balanced bipartite 6-set.
 
     States: a 6-vertex base missing at most 2 of its 20 triples, times all
     2^15 links of a seventh vertex.  Whenever the whole hypergraph is
-    Fano-free and the link has at least min_link_degree edges, the base must
-    be the complete balanced bipartite hypergraph on 3+3 vertices.  Links
-    below the degree threshold fail the hypothesis and are accounted in
+    Fano-free and the link has at least LEMMA_2_3_MIN_LINK_DEGREE edges, the
+    base must be the complete balanced bipartite hypergraph on 3+3 vertices.
+    Links below the degree threshold fail the hypothesis and are accounted in
     bulk.
     """
     table = cover_table(7)
@@ -376,10 +374,8 @@ def verify_lemma_2_3(*, min_link_degree: int = 11, seed: int = 0) -> Certificate
     )
     space = len(comp_choices) * (1 << 15)
     run = ClaimRun("lemma-2-3", space, seed)
-    if not 0 <= min_link_degree <= 15:
-        raise ParameterError(f"min_link_degree must be in [0, 15], got {min_link_degree}")
-
-    link_masks = [m for m in range(1 << 15) if m.bit_count() >= min_link_degree]
+    min_degree = LEMMA_2_3_MIN_LINK_DEGREE
+    link_masks = [m for m in range(1 << 15) if m.bit_count() >= min_degree]
     nonlink_cover = {m: _apex_nonlink_cover(m) for m in link_masks}
     bulk = ((1 << 15) - len(link_masks)) * len(comp_choices)
 
@@ -526,19 +522,14 @@ def verify_matching_facts(*, seed: int = 0) -> Certificate:
 # Tetrahedra at the balanced count.
 # ---------------------------------------------------------------------------
 
-def verify_fact_tetra(n: int | None = None, *, seed: int = 0) -> Certificate:
+def verify_fact_tetra(*, seed: int = 0) -> Certificate:
     """Every hypergraph with b(n) edges contains a complete 4-vertex piece.
 
-    Exhaustive over complements for n in 4..7 (or a single n), with a random
-    re-verification sample routed through the independent clique finder, plus
-    the exact chain 3 C(n,3) < 4 b(n) for all n in [4, 64].
+    Exhaustive over complements for each n in FACT_TETRA_VERTEX_COUNTS, with
+    a random re-verification sample routed through the independent clique
+    finder, plus the exact chain 3 C(n,3) < 4 b(n) for all n in [4, 64].
     """
-    if n is None:
-        targets = (4, 5, 6, 7)
-    else:
-        if not 4 <= n <= 7:
-            raise ParameterError(f"supported vertex counts are 4..7, got {n}")
-        targets = (n,)
+    targets = FACT_TETRA_VERTEX_COUNTS
     rng = random.Random(seed)
     chain = range(4, 65)
     space = sum(comb(comb(m, 3), comb(m, 3) - b_formula(m)) for m in targets) + len(chain)

@@ -22,6 +22,7 @@ from fanoturan.hypergraph import (
     random_hypergraph,
 )
 from fanoturan.multigraph import (
+    INEQUALITY_N_MAX,
     f4_formula,
     max_edges_no_crossing,
     verify_corollary_inequalities,
@@ -151,8 +152,9 @@ def test_criterion_08_tetrahedra_at_the_balanced_count():
 
 def test_criterion_09_integer_inequality_chains():
     with _Budget(9, 1, "both corollary inequalities and the split identity to 10001"):
-        a = verify_corollary_inequalities(10001)
-        b = verify_section4_arithmetic(10001)
+        assert INEQUALITY_N_MAX == 10001
+        a = verify_corollary_inequalities()
+        b = verify_section4_arithmetic()
         assert a.passed() and b.passed()
         assert a.visited == 4997
 

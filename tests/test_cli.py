@@ -130,6 +130,21 @@ def test_verify_validates_before_any_computation(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_bad_paths_are_usage_errors(tmp_path, capsys):
+    # a path that cannot be opened is bad usage (exit 2), not "not found" (exit 1)
+    missing_dir = tmp_path / "no" / "such" / "dir"
+    commands = (
+        ["check", str(tmp_path / "missing.txt")],
+        ["construct", "fano", "7", "-o", str(missing_dir / "x")],
+        ["verify", "ex-8", "--long-run", "--checkpoint", str(missing_dir / "x.ckpt")],
+    )
+    for argv in commands:
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "No such file or directory" in captured.err
+        assert captured.out == ""
+
+
 def test_verify_long_run_gate(capsys):
     assert main(["verify", "ex-8"]) == 3
     assert "capability" in capsys.readouterr().err
@@ -200,6 +215,10 @@ def test_multigraph_search_and_gate(capsys):
     assert main(["multigraph", "search", "--p", "5", "--n", "7"]) == 3
     err = capsys.readouterr().err
     assert "best_found=80" in err
+    # a budget below 1 is bad usage, not a capability limit
+    for n in ("3", "4"):
+        assert main(["multigraph", "search", "--p", "4", "--n", n, "--node-budget", "-5"]) == 2
+        assert "error: node budget must be at least 1" in capsys.readouterr().err
 
 
 def test_multigraph_check_exit_codes(tmp_path, capsys):

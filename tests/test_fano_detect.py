@@ -1,19 +1,22 @@
 """Plane detection: three independent methods, witnesses, and cliques."""
 
 import random
-from itertools import combinations
+from itertools import combinations, permutations
+from math import comb
 
 import pytest
 
 from fanoturan.canonical import canonical_form
-from fanoturan.errors import ParameterError
+from fanoturan.errors import CapabilityError, ParameterError
 from fanoturan.fano import (
     DetectionMethod,
+    IMAGE_CAP,
     contains_fano,
     contains_fano_cover,
     contains_fano_crossing,
     contains_fano_embedding,
     contains_fano_pasch,
+    cover_table,
     embedding_edges,
     find_clique,
     find_fano_crossing,
@@ -21,7 +24,7 @@ from fanoturan.fano import (
     find_fano_embedding,
     find_fano_pasch,
 )
-from fanoturan.hypergraph import Hypergraph, construct, random_hypergraph, triple_rank
+from fanoturan.hypergraph import FANO_LINES, Hypergraph, construct, random_hypergraph, triple_rank
 
 
 FANO = construct("fano", 7)
@@ -62,6 +65,28 @@ def test_cover_method_agrees_with_embedding_on_1000_samples():
         h = random_hypergraph(8, 0.3 + 0.6 * (i % 100) / 99, rng)
         assert contains_fano_cover(h) == contains_fano_embedding(h)
     assert not contains_fano_cover(construct("complete", 6))  # no images below 7 vertices
+
+
+def _cover_images(n):
+    """The plane images of the cover table on n vertices, as triple-rank sets."""
+    table = cover_table(n)
+    return [
+        frozenset(r for r, mask in enumerate(table.masks) if mask >> i & 1)
+        for i in range(table.full.bit_length())
+    ]
+
+
+def test_cover_table_holds_every_plane_image_once():
+    for n in (7, 8, 9, 10):
+        images = _cover_images(n)
+        assert len(images) == len(set(images)) == 30 * comb(n, 7) == cover_table(n).full.bit_count()
+    reference = {
+        frozenset(triple_rank(*sorted((s[a], s[b], s[c]))) for a, b, c in FANO_LINES)
+        for s in permutations(range(7))
+    }
+    assert set(_cover_images(7)) == reference
+    with pytest.raises(CapabilityError):
+        cover_table(IMAGE_CAP + 1)
 
 
 def test_monotone_under_200_edge_additions():

@@ -67,15 +67,7 @@ def test_accessors_on_a_small_example():
     g = PMultigraph(3, 3, (0b101, 0b010, 0b111))
     assert g.multiplicity(0, 1) == 2
     assert g.multiplicity(1, 0) == 2
-    assert g.layers(0, 1) == (1, 3)
-    assert g.layers(0, 2) == (2,)
-    assert g.layers(1, 2) == (1, 2, 3)
     assert g.edge_total() == 6
-    assert g.layer_pairs(1) == ((0, 1), (1, 2))
-    assert g.layer_pairs(2) == ((0, 2), (1, 2))
-    with pytest.raises(ParameterError):
-        g.layer_pairs(0)
-    assert PMultigraph.empty(3, 3).edge_total() == 0
     assert PMultigraph.complete(3, 3).edge_total() == 9
 
 
@@ -260,6 +252,9 @@ def test_exact_search_reaches_the_maximum_from_a_weaker_seed(monkeypatch, shortf
 def test_exact_search_validation_and_gates():
     with pytest.raises(ParameterError):
         max_edges_no_crossing(3, 4)
+    for n in (3, 4):
+        with pytest.raises(ParameterError):
+            max_edges_no_crossing(4, n, node_budget=0)
     with pytest.raises(ParameterError):
         max_edges_no_crossing(6, 4)
     with pytest.raises(ParameterError):
@@ -289,9 +284,10 @@ def test_lemma_4vertex_passes_with_exact_accounting():
     assert payload["full_pair_instances"] > 0
 
 
-def test_lemma_4vertex_tight_bound_fails_with_live_witness():
+def test_lemma_4vertex_tight_bound_fails_with_live_witness(monkeypatch):
+    monkeypatch.setattr(multigraph, "LEMMA_4VERTEX_SUM_BOUND", 4)
     with pytest.raises(VerificationError) as info:
-        verify_lemma_4vertex(sum_bound=4, seed=4)
+        verify_lemma_4vertex(seed=4)
     cert = info.value.certificate
     assert cert.verdict == "fail"
     assert (cert.claim, cert.space, cert.visited, cert.seed) == (
@@ -310,34 +306,38 @@ def test_lemma_4vertex_tight_bound_fails_with_live_witness():
     assert sums[0] > 4  # genuinely violates the tightened bound
 
 
-def test_lemma_4vertex_loose_bound_still_passes():
-    cert = verify_lemma_4vertex(sum_bound=6)
+def test_lemma_4vertex_loose_bound_still_passes(monkeypatch):
+    monkeypatch.setattr(multigraph, "LEMMA_4VERTEX_SUM_BOUND", 6)
+    cert = verify_lemma_4vertex()
     assert cert.passed()
     assert cert.witnesses[0]["min_sum_instances"] > 0
 
 
-def test_corollary_inequalities_hold_and_flip_fails():
+def test_corollary_inequalities_hold_and_flip_fails(monkeypatch):
     cert = verify_corollary_inequalities()
     assert cert.passed()
     assert cert.space == cert.visited == len(range(9, 10002, 2))
+    # dropping the -m of the 5-layer bound breaks the inequality where the
+    # paper's bound is tight: at n = 9 both sides become 280 = 4 b(9)
+    monkeypatch.setattr(multigraph, "_f5_upper_scaled", lambda m: 7 * m * m)
     with pytest.raises(VerificationError) as info:
-        verify_corollary_inequalities(flip=True, seed=4)
+        verify_corollary_inequalities(seed=4)
     failed = info.value.certificate
     assert (failed.claim, failed.verdict, failed.space, failed.visited, failed.seed) == (
         "corollary-bf", "fail", 4997, 1, 4,
     )
     assert str(info.value) == "deletion inequality violated"
     assert failed.witnesses[0]["n"] == 9
-    with pytest.raises(ParameterError):
-        verify_corollary_inequalities(7)
+    assert failed.witnesses[0]["scaled_lhs_a"] == failed.witnesses[0]["scaled_rhs"] == 280
 
 
-def test_section4_arithmetic_holds_and_mutant_fails():
+def test_section4_arithmetic_holds_and_mutant_fails(monkeypatch):
     cert = verify_section4_arithmetic()
     assert cert.passed()
     assert cert.visited == cert.space
+    monkeypatch.setattr(multigraph, "f4_formula", lambda n: 2 * comb(n, 2))  # crossing term lost
     with pytest.raises(VerificationError) as info:
-        verify_section4_arithmetic(drop_term=True, seed=4)
+        verify_section4_arithmetic(seed=4)
     failed = info.value.certificate
     assert (failed.claim, failed.verdict, failed.space, failed.visited, failed.seed) == (
         "section4-arith", "fail", 9996, 1, 4,

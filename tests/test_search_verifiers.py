@@ -1,5 +1,6 @@
 """Exhaustive verifiers: boundary scans, classification, and certificates."""
 
+import inspect
 import json
 import random
 from itertools import combinations
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from fanoturan import search
+from fanoturan import certificate, search
 from fanoturan.canonical import canonical_form
 from fanoturan.certificate import (
     Certificate,
@@ -168,14 +169,11 @@ def test_lemma_n7_certificate_and_classes():
             assert canonical_form(h) == canonical_form(construct("j7", 7))
 
 
-def test_lemma_n7_rejects_a_wrong_class_list():
+def test_lemma_n7_rejects_a_wrong_class_list(monkeypatch):
     fake = canonical_form(construct("fano", 7))
-    real = (
-        canonical_form(construct("balanced_bipartite", 7)),
-        canonical_form(construct("j7", 7)),
-    )
+    monkeypatch.setattr(search, "LEMMA_N7_FAMILIES", search.LEMMA_N7_FAMILIES + ("fano",))
     with pytest.raises(VerificationError) as info:
-        verify_lemma_n7(expected_classes=real + (fake,), seed=4)
+        verify_lemma_n7(seed=4)
     cert = info.value.certificate
     assert (cert.claim, cert.verdict, cert.space, cert.visited, cert.seed) == (
         "lemma-n7", "fail", 324632, 324632, 4,
@@ -196,9 +194,10 @@ def test_lemma_2_3_certificate():
     assert payload["links_at_or_above_degree"] == 1941
 
 
-def test_lemma_2_3_mutant_finds_a_sparse_counterexample():
+def test_lemma_2_3_mutant_finds_a_sparse_counterexample(monkeypatch):
+    monkeypatch.setattr(search, "LEMMA_2_3_MIN_LINK_DEGREE", 10)
     with pytest.raises(VerificationError) as info:
-        verify_lemma_2_3(min_link_degree=10, seed=4)
+        verify_lemma_2_3(seed=4)
     cert = info.value.certificate
     assert (cert.claim, cert.verdict, cert.space, cert.visited, cert.seed) == (
         "lemma-2-3", "fail", 6914048, 5870968, 4,
@@ -234,15 +233,15 @@ def test_matching_facts_certificate():
     }
 
 
-def test_fact_tetra_certificate():
+def test_fact_tetra_certificate(monkeypatch):
     cert = verify_fact_tetra()
     assert cert.passed()
     assert cert.witnesses[0]["vertex_counts"] == [4, 5, 6, 7]
-    single = verify_fact_tetra(5)
+    monkeypatch.setattr(search, "FACT_TETRA_VERTEX_COUNTS", (5,))
+    single = verify_fact_tetra()
     assert single.passed()
     assert single.witnesses[0]["vertex_counts"] == [5]
-    with pytest.raises(ParameterError):
-        verify_fact_tetra(8)
+    assert single.space == comb(10, 1) + len(range(4, 65))
 
 
 def test_ex8_long_run_with_checkpoints(tmp_path):
@@ -292,6 +291,15 @@ def test_run_claim_dispatch_and_registry(monkeypatch):
     assert calls == [{"seed": 2}, {"seed": 2, "long_run": True, "checkpoint_path": "x.ckpt"}]
 
 
+def test_verifiers_take_only_what_the_claim_table_passes():
+    # the paper's fixed numbers are module constants, not keyword options
+    for entry in CLAIMS:
+        params = inspect.signature(getattr(search, entry.verifier)).parameters
+        assert set(params) <= {"seed", "long_run", "checkpoint_path"}, entry.id
+        assert all(p.kind is p.KEYWORD_ONLY for p in params.values()), entry.id
+    assert list(inspect.signature(CheckpointWriter).parameters) == ["path"]
+
+
 def test_readme_claim_table_matches_registry():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     section = readme.split("## Registered claims", 1)[1].split("\n## ", 1)[0]
@@ -333,16 +341,15 @@ def test_claim_run_passes_only_with_exact_accounting():
         ClaimRun("demo", 10, 0).passed(9, [])
 
 
-def test_checkpoint_roundtrip_and_corruption(tmp_path):
+def test_checkpoint_roundtrip_and_corruption(tmp_path, monkeypatch):
     path = str(tmp_path / "frames.ckpt")
-    with CheckpointWriter(path, every=10) as writer:
+    monkeypatch.setattr(certificate, "CHECKPOINT_EVERY", 10)
+    with CheckpointWriter(path) as writer:
         writer.maybe_write(1, 5, 0)   # below stride, skipped
         writer.maybe_write(2, 10, 1)  # hits stride
         writer.maybe_write(3, 14, 1)  # skipped again
         writer.write(4, 25, 2)        # unconditional
     assert read_checkpoint(path) == [(2, 10, 1), (4, 25, 2)]
-    with pytest.raises(ParameterError):
-        CheckpointWriter(str(tmp_path / "x.ckpt"), every=0)
     with open(path, "ab") as fh:
         fh.write(b"\x01")  # half a frame
     with pytest.raises(FormatError):

@@ -1,9 +1,15 @@
 """Checks on the package source itself."""
 
 import ast
+import importlib
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "fanoturan"
+import fanoturan
+from fanoturan import canonical
+from fanoturan.hypergraph import Hypergraph
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "fanoturan"
 
 # Library entry points that no module of the package calls, kept on purpose.
 ENTRY_POINTS = {
@@ -63,3 +69,26 @@ def test_every_top_level_definition_is_used():
             used.update(n for node in ast.walk(stmt) if (n := _names_used(node)) not in (None, own))
     unused = sorted(f"{module}:{name}" for name, module in defined.items() if name not in used)
     assert unused == sorted(f"{defined[name]}:{name}" for name in ENTRY_POINTS)
+
+
+def test_benchmark_names_resolve():
+    # the benchmark reaches into the package by name: a traced function or an
+    # `ft.` attribute that went away would only show in a traced run
+    tracing = ast.parse((ROOT / "perfbench" / "tracing.py").read_text(encoding="utf-8"))
+    traced = next(
+        node.value for node in tracing.body
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "TRACED" for t in node.targets)
+    )
+    pairs = [(row.elts[0].value, row.elts[1].value) for row in traced.elts]
+    assert pairs
+    for layer, name in pairs:
+        assert callable(getattr(importlib.import_module(f"fanoturan.{layer}"), name)), (layer, name)
+    worker = ast.parse((ROOT / "perfbench" / "worker.py").read_text(encoding="utf-8"))
+    names = {
+        node.attr for node in ast.walk(worker)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "ft"
+    }
+    assert names
+    assert sorted(n for n in names if not hasattr(fanoturan, n)) == []
+    assert callable(canonical._canonicalize.cache_info)
+    assert callable(Hypergraph.has_edge)
