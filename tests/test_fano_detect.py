@@ -1,8 +1,10 @@
 """Plane detection: three independent methods, witnesses, and cliques."""
 
+import json
 import random
 from itertools import combinations, permutations
 from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -29,6 +31,9 @@ from fanoturan.hypergraph import FANO_LINES, Hypergraph, construct, random_hyper
 
 FANO = construct("fano", 7)
 FANO_FORM = canonical_form(FANO)
+
+# find_fano_edges(h, m) for every method, on the inputs of _pinned_inputs()
+PINNED_WITNESSES = Path(__file__).resolve().parent / "data" / "fano_witnesses_seed1.json"
 
 
 def _witness_subhypergraph(edges):
@@ -226,3 +231,23 @@ def test_dispatch_covers_all_methods():
     assert contains_fano(FANO) == contains_fano(FANO, DetectionMethod.EMBEDDING)
     with pytest.raises(ParameterError):
         contains_fano(FANO, "embedding")  # the value, not the member
+
+
+def _pinned_inputs():
+    rng = random.Random(1)
+    inputs = [random_hypergraph(7 + i % 3, 0.3 + 0.6 * (i % 50) / 49, rng) for i in range(60)]
+    return inputs + [FANO, construct("complete", 7)]
+
+
+def test_detector_witnesses_match_the_pinned_copies():
+    # which copy each detector reports, and its edge order, are printed by
+    # `check --format json`; the pin keeps both fixed
+    pinned = json.loads(PINNED_WITNESSES.read_text())
+    inputs = _pinned_inputs()
+    assert len(pinned) == len(inputs)
+    for h, row in zip(inputs, pinned):
+        assert set(row) == {m.value for m in DetectionMethod}
+        for method in DetectionMethod:
+            edges = find_fano_edges(h, method)
+            got = None if edges is None else [list(t) for t in edges]
+            assert got == row[method.value], (h, method)
