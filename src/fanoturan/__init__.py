@@ -14,7 +14,6 @@ from types import ModuleType as _ModuleType
 
 from .canonical import (
     CANONICAL_CAP,
-    CanonicalForm,
     automorphism_count,
     canonical_form,
     is_canonical,
@@ -29,15 +28,12 @@ from .errors import (
     VerificationError,
 )
 from .fano import (
-    CrossingFanoWitness,
     DetectionMethod,
-    PaschFanoWitness,
     contains_fano,
     contains_fano_cover,
     contains_fano_crossing,
     contains_fano_embedding,
     contains_fano_pasch,
-    embedding_edges,
     find_clique,
     find_fano_crossing,
     find_fano_embedding,

@@ -1,8 +1,9 @@
 """Canonical forms under vertex relabeling, for hypergraphs on <= 12 vertices.
 
-The canonical form of a hypergraph is the lexicographically least sorted
-sequence of colex edge ranks over all n! relabelings.  Two hypergraphs are
-isomorphic iff their canonical forms are equal.  The least sequence has the
+The canonical form of a hypergraph is its least relabeling, as a
+Hypergraph: the one of its n! relabelings whose sorted sequence of colex
+edge ranks is lexicographically least.  Two hypergraphs are isomorphic iff
+their canonical forms are equal.  The least sequence has the
 prefix property (dropping its largest rank leaves the least sequence of the
 remaining edge set's class), which the orderly complement generation in the
 search module relies on.
@@ -21,7 +22,6 @@ one step keeps |Aut| exact without visiting those tied leaves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
 from math import comb, factorial
@@ -34,17 +34,6 @@ CANONICAL_CAP = 12
 _SENTINEL = comb(CANONICAL_CAP + 1, 3) + 1
 
 
-@dataclass(frozen=True, slots=True, order=True)
-class CanonicalForm:
-    """Isomorphism-class fingerprint: vertex count plus least rank sequence."""
-
-    n: int
-    ranks: tuple[int, ...]
-
-    def to_hypergraph(self) -> Hypergraph:
-        return Hypergraph.from_ranks(self.n, self.ranks)
-
-
 def relabel(h: Hypergraph, perm) -> Hypergraph:
     """Apply the relabeling v -> perm[v] to every edge."""
     perm = tuple(perm)
@@ -54,13 +43,13 @@ def relabel(h: Hypergraph, perm) -> Hypergraph:
 
 
 @lru_cache(maxsize=65536)
-def _canonicalize(n: int, bits: int) -> tuple[tuple[int, ...], int]:
-    """(least rank sequence, number of relabelings attaining it = |Aut|)."""
+def _canonicalize(n: int, bits: int) -> tuple[Hypergraph, int]:
+    """(least relabeling, number of relabelings attaining it = |Aut|)."""
     h = Hypergraph(n, bits)
     e = h.edge_count
     if e == comb(n, 3):
         # Complete: every relabeling gives the same edge set.
-        return tuple(range(e)), factorial(n)
+        return h, factorial(n)
 
     # thirds[a][b]: bitmask of the vertices c with {a, b, c} an edge.
     thirds = [[0] * n for _ in range(n)]
@@ -127,17 +116,17 @@ def _canonicalize(n: int, bits: int) -> tuple[tuple[int, ...], int]:
 
     descend(list(range(n)))
     assert best is not None and len(best) == e
-    return tuple(best), aut
+    return Hypergraph.from_ranks(n, best), aut
 
 
-def canonical_form(h: Hypergraph) -> CanonicalForm:
-    """Least edge encoding over all relabelings; capability-capped at 12 vertices."""
+def canonical_form(h: Hypergraph) -> Hypergraph:
+    """The least relabeling of h; capability-capped at 12 vertices."""
     if h.n > CANONICAL_CAP:
         raise CapabilityError(
             f"canonical form is capped at {CANONICAL_CAP} vertices, got {h.n}"
         )
-    ranks, _ = _canonicalize(h.n, h.bits)
-    return CanonicalForm(h.n, ranks)
+    form, _ = _canonicalize(h.n, h.bits)
+    return form
 
 
 def automorphism_count(h: Hypergraph) -> int:
@@ -151,5 +140,5 @@ def automorphism_count(h: Hypergraph) -> int:
 
 
 def is_canonical(h: Hypergraph) -> bool:
-    """True iff h's own edge ranks already form the least sequence of its class."""
-    return canonical_form(h).ranks == h.ranks()
+    """True iff h is already the least relabeling of its class."""
+    return canonical_form(h) == h

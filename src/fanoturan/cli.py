@@ -121,14 +121,14 @@ def _cmd_search(args: argparse.Namespace) -> int:
     payload = {
         "n": args.n,
         "max_edges": value,
-        "extremal_classes": [to_json_dict(f.to_hypergraph()) for f in classes],
+        "extremal_classes": [to_json_dict(f) for f in classes],
     }
     if args.format == "json":
         print(json.dumps(payload, indent=2))
     else:
         print(f"n={args.n} max_edges={value} classes={len(classes)}")
         for f in classes:
-            print(format_text(f.to_hypergraph()).rstrip())
+            print(format_text(f).rstrip())
             print()
     return 0
 

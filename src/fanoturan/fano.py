@@ -4,7 +4,7 @@ The methods share nothing beyond edge-membership lookups, so they
 cross-validate each other:
 
 * ``embedding``       - injective point map built line by line with forward
-                        checking; returns the point images.
+                        checking.
 * ``crossing_pairs``  - an edge {x, y, z} plus four outside vertices whose
                         three perfect matchings are covered bijectively by
                         the links of x, y, z.
@@ -12,9 +12,8 @@ cross-validate each other:
                         one full parity class of transversal triples (a
                         Pasch configuration) present as edges.
 
-The embedding detector returns the point images, which embedding_edges turns
-into edges; the other two return a witness object exposing ``fano_edges()``.
-find_fano_edges gives the seven edges of the found copy for any method, so
+Each detector returns the seven edges of the copy it found, as sorted
+triples, or None; find_fano_edges picks the detector for a method.  So
 soundness is checkable edge by edge.
 
 For enumeration hot loops there is also a containment test based on
@@ -140,12 +139,13 @@ def _link_pairs(h: Hypergraph) -> list[list[tuple[int, int]]]:
     return out
 
 
-def find_fano_embedding(h: Hypergraph) -> tuple[int, ...] | None:
-    """Point images (img[0..6]) of an embedded plane copy, or None.
+def find_fano_embedding(h: Hypergraph) -> tuple[tuple[int, int, int], ...] | None:
+    """The seven edges of an embedded plane copy, in FANO_LINES order, or None.
 
-    Lines are placed in the fixed order 012, 234, 045, 036; the remaining
-    lines 135, 256, 146 become pure membership checks, applied as early as
-    their points are available (forward checking).
+    Plane point k goes to vertex ik.  Lines are placed in the fixed order
+    012, 234, 045, 036; the remaining lines 135, 256, 146 become pure
+    membership checks, applied as early as their points are available
+    (forward checking).
     """
     if h.n < 7 or h.edge_count < 7:
         return None
@@ -175,7 +175,9 @@ def find_fano_embedding(h: Hypergraph) -> tuple[int, ...] | None:
                             if i6 in (i0, i1, i2, i3, i4, i5):
                                 continue
                             if has(i2, i5, i6) and has(i1, i4, i6):
-                                return (i0, i1, i2, i3, i4, i5, i6)
+                                img = (i0, i1, i2, i3, i4, i5, i6)
+                                lines = [(img[u], img[v], img[w]) for u, v, w in FANO_LINES]
+                                return tuple(tuple(sorted(t)) for t in lines)
     return None
 
 
@@ -183,53 +185,32 @@ def contains_fano_embedding(h: Hypergraph) -> bool:
     return find_fano_embedding(h) is not None
 
 
-def embedding_edges(images: tuple[int, ...]) -> tuple[tuple[int, int, int], ...]:
-    """The seven edges of the plane copy described by point images."""
-    return tuple(
-        tuple(sorted((images[a], images[b], images[c]))) for a, b, c in FANO_LINES
-    )
-
-
 # ---------------------------------------------------------------------------
 # Method 2: crossing pairs.
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CrossingFanoWitness:
-    """Edge (x, y, z), outside quad, and which matching each link covers."""
+def find_fano_crossing(h: Hypergraph) -> tuple[tuple[int, int, int], ...] | None:
+    """The seven edges of the first (edge, quad, bijection) in scan order, or None.
 
-    edge: tuple[int, int, int]
-    quad: tuple[int, int, int, int]
-    assignment: tuple[int, int, int]  # matching index covered by x, y, z
-
-    def fano_edges(self) -> tuple[tuple[int, int, int], ...]:
-        p, q, r, s = self.quad
-        matchings = (((p, q), (r, s)), ((p, r), (q, s)), ((p, s), (q, r)))
-        out = [self.edge]
-        for v, mi in zip(self.edge, self.assignment):
-            for u, w in matchings[mi]:
-                out.append(tuple(sorted((v, u, w))))
-        return tuple(out)
-
-
-def find_fano_crossing(h: Hypergraph) -> CrossingFanoWitness | None:
-    """First (edge, quad, bijection) in canonical scan order, or None."""
+    The edge comes first, then for each of its vertices in turn the two
+    triples joining it to the quad matching its link covers.
+    """
     if h.n < 7:
         return None
     has = h.has_edge
     for edge in h.edges():
-        x, y, z = edge
         others = [v for v in range(h.n) if v not in edge]
         for quad in combinations(others, 4):
             p, q, r, s = quad
             matchings = (((p, q), (r, s)), ((p, r), (q, s)), ((p, s), (q, r)))
             cov = [
                 [all(has(v, u, w) for u, w in m) for m in matchings]
-                for v in (x, y, z)
+                for v in edge
             ]
             for pi in ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)):
                 if cov[0][pi[0]] and cov[1][pi[1]] and cov[2][pi[2]]:
-                    return CrossingFanoWitness(edge, quad, pi)
+                    lines = [(v, u, w) for v, mi in zip(edge, pi) for u, w in matchings[mi]]
+                    return (edge, *(tuple(sorted(t)) for t in lines))
     return None
 
 
@@ -241,32 +222,13 @@ def contains_fano_crossing(h: Hypergraph) -> bool:
 # Method 3: Pasch configurations over a link matching.
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PaschFanoWitness:
-    """Vertex v, three disjoint link edges, and the realized parity class."""
-
-    vertex: int
-    matching: tuple[tuple[int, int], tuple[int, int], tuple[int, int]]
-    parity: int  # 0: even transversals, 1: odd transversals
-
-    def fano_edges(self) -> tuple[tuple[int, int, int], ...]:
-        (a1, a2), (b1, b2), (c1, c2) = self.matching
-        out = [tuple(sorted((self.vertex, u, w))) for u, w in self.matching]
-        if self.parity == 0:
-            quads = ((a1, b1, c1), (a1, b2, c2), (a2, b1, c2), (a2, b2, c1))
-        else:
-            quads = ((a2, b2, c2), (a2, b1, c1), (a1, b2, c1), (a1, b1, c2))
-        out.extend(tuple(sorted(t)) for t in quads)
-        return tuple(out)
-
-
-def find_fano_pasch(h: Hypergraph) -> PaschFanoWitness | None:
-    """First (vertex, link matching, parity class) in canonical order, or None.
+def find_fano_pasch(h: Hypergraph) -> tuple[tuple[int, int, int], ...] | None:
+    """The seven edges of the first (vertex, link matching, parity class), or None.
 
     With the matching written (a1 a2, b1 b2, c1 c2), the even class is the
     four transversals picking an even number of second elements and the odd
     class its complement; either class plus the three link edges through v
-    closes a plane copy.
+    closes a plane copy.  The link edges come first, then the class.
     """
     if h.n < 7:
         return None
@@ -291,12 +253,16 @@ def find_fano_pasch(h: Hypergraph) -> PaschFanoWitness | None:
                         has(a1, b1, c1) and has(a1, b2, c2)
                         and has(a2, b1, c2) and has(a2, b2, c1)
                     ):
-                        return PaschFanoWitness(v, ((a1, a2), (b1, b2), (c1, c2)), 0)
-                    if (
+                        quads = ((a1, b1, c1), (a1, b2, c2), (a2, b1, c2), (a2, b2, c1))
+                    elif (
                         has(a2, b2, c2) and has(a2, b1, c1)
                         and has(a1, b2, c1) and has(a1, b1, c2)
                     ):
-                        return PaschFanoWitness(v, ((a1, a2), (b1, b2), (c1, c2)), 1)
+                        quads = ((a2, b2, c2), (a2, b1, c1), (a1, b2, c1), (a1, b1, c2))
+                    else:
+                        continue
+                    lines = ((v, a1, a2), (v, b1, b2), (v, c1, c2), *quads)
+                    return tuple(tuple(sorted(t)) for t in lines)
     return None
 
 
@@ -314,20 +280,20 @@ class DetectionMethod(Enum):
     PASCH_MATCHING = "pasch_matching"
 
 
+_FINDERS = {
+    DetectionMethod.EMBEDDING: find_fano_embedding,
+    DetectionMethod.CROSSING_PAIRS: find_fano_crossing,
+    DetectionMethod.PASCH_MATCHING: find_fano_pasch,
+}
+
+
 def find_fano_edges(
     h: Hypergraph, method: DetectionMethod = DetectionMethod.EMBEDDING
 ) -> tuple[tuple[int, int, int], ...] | None:
     """The seven edges of a plane copy found by the chosen detector, or None."""
-    if method is DetectionMethod.EMBEDDING:
-        images = find_fano_embedding(h)
-        return None if images is None else embedding_edges(images)
-    if method is DetectionMethod.CROSSING_PAIRS:
-        witness = find_fano_crossing(h)
-    elif method is DetectionMethod.PASCH_MATCHING:
-        witness = find_fano_pasch(h)
-    else:
+    if not isinstance(method, DetectionMethod):
         raise ParameterError(f"unknown detection method {method!r}")
-    return None if witness is None else witness.fano_edges()
+    return _FINDERS[method](h)
 
 
 def contains_fano(h: Hypergraph, method: DetectionMethod = DetectionMethod.EMBEDDING) -> bool:

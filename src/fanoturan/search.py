@@ -10,8 +10,8 @@ colex rank; whenever a child is rejected (not canonical, or provably unable
 to cover the remaining plane images) the engine charges the full count of
 size-complements through that child, so the books close exactly at
 C(#triples, size).  Both engines, and the apex link scans, read plane images
-only through fano.cover_table.  Survivors are rank tuples; Hypergraph.from_ranks
-and hypergraph.complement turn them back into hypergraphs.
+only through fano.cover_table.  Survivors are the complements themselves, as
+Hypergraphs; hypergraph.complement turns them back into the primal ones.
 
 Claim verifiers build their certificates through a ClaimRun: they return
 run.passed(...), which checks visited == space, and end any counterexample
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
-from .canonical import CanonicalForm, automorphism_count, canonical_form, is_canonical
+from .canonical import automorphism_count, canonical_form, is_canonical
 from .certificate import Certificate, CheckpointWriter, ClaimRun
 from .errors import CapabilityError, ParameterError
 from .fano import (
@@ -42,7 +42,6 @@ from .fano import (
 )
 from .hypergraph import (
     Hypergraph,
-    TRIPLES,
     b_formula,
     complement,
     construct,
@@ -66,9 +65,8 @@ FACT_TETRA_VERTEX_COUNTS = (4, 5, 6, 7)  # scanned exhaustively; the count chain
 
 @dataclass
 class ScanResult:
-    survivors: list[tuple[int, ...]]  # complement rank tuples
+    survivors: list[Hypergraph]  # complements
     accounted: int
-    nodes: int
 
 
 def _raw_survivors(n: int, size: int) -> ScanResult:
@@ -81,7 +79,7 @@ def _raw_survivors(n: int, size: int) -> ScanResult:
         )
     table = cover_table(n)
     masks, full = table.masks, table.full
-    survivors: list[tuple[int, ...]] = []
+    survivors: list[Hypergraph] = []
     visited = 0
     for ranks in combinations(range(T), size):
         visited += 1
@@ -90,8 +88,8 @@ def _raw_survivors(n: int, size: int) -> ScanResult:
         for r in ranks:
             cov |= masks[r]
         if cov == full:
-            survivors.append(ranks)
-    return ScanResult(survivors, visited, visited)
+            survivors.append(Hypergraph.from_ranks(n, ranks))
+    return ScanResult(survivors, visited)
 
 
 def _canonical_survivors(
@@ -109,8 +107,7 @@ def _canonical_survivors(
     T = comb(n, 3)
     table = cover_table(n)
     masks, nimages, most = table.masks, table.full.bit_count(), table.most
-    survivors: list[tuple[int, ...]] = []
-    ranks: list[int] = []
+    survivors: list[Hypergraph] = []
     accounted = 0
     nodes = 0
 
@@ -118,7 +115,7 @@ def _canonical_survivors(
         nonlocal accounted, nodes
         nodes += 1
         if k == size:
-            survivors.append(tuple(ranks))
+            survivors.append(Hypergraph(n, bits))
             accounted += 1
             return
         rem = size - k - 1
@@ -132,9 +129,7 @@ def _canonical_survivors(
             if not is_canonical(Hypergraph(n, nb)):
                 accounted += tail
                 continue
-            ranks.append(r)
             rec(nb, newcov, r, k + 1)
-            ranks.pop()
         if checkpoint is not None:
             checkpoint.maybe_write(nodes, accounted, len(survivors))
 
@@ -148,19 +143,20 @@ def _canonical_survivors(
         )
     if checkpoint is not None:
         checkpoint.write(nodes, accounted, len(survivors))
-    return ScanResult(survivors, accounted, nodes)
+    return ScanResult(survivors, accounted)
 
 
 # ---------------------------------------------------------------------------
 # Extremal values.
 # ---------------------------------------------------------------------------
 
-def max_fano_free_edges(n: int, *, long_run: bool = False) -> tuple[int, list[CanonicalForm]]:
+def max_fano_free_edges(n: int, *, long_run: bool = False) -> tuple[int, list[Hypergraph]]:
     """Largest Fano-free edge count on n vertices plus the extremal classes.
 
     Walks complement sizes upward through the canonical engine, which keeps
     one survivor per class; Fano-freeness survives edge removal, so the first
-    size with survivors is exact.  n = 8 must be requested with long_run=True.
+    size with survivors is exact.  Each class is given by its canonical form.
+    n = 8 must be requested with long_run=True.
     """
     if not 4 <= n <= 8:
         raise ParameterError(f"supported vertex counts are 4..8, got {n}")
@@ -172,8 +168,8 @@ def max_fano_free_edges(n: int, *, long_run: bool = False) -> tuple[int, list[Ca
     for c in range(T + 1):
         survivors = _canonical_survivors(n, c).survivors
         if survivors:
-            classes = [canonical_form(complement(Hypergraph.from_ranks(n, r))) for r in survivors]
-            return T - c, sorted(classes, key=lambda f: f.ranks)
+            classes = [canonical_form(complement(comp)) for comp in survivors]
+            return T - c, sorted(classes, key=Hypergraph.ranks)
     raise AssertionError("even the empty hypergraph should survive")
 
 
@@ -197,29 +193,28 @@ def verify_lemma_n7(*, seed: int = 0) -> Certificate:
 
     scan = _raw_survivors(7, 5)
     visited = scan.accounted
-    comp_groups: dict[CanonicalForm, list[tuple[int, ...]]] = {}
-    for ranks in scan.survivors:
-        for ra, rb in combinations(ranks, 2):
-            shared = len(set(TRIPLES[ra]) & set(TRIPLES[rb]))
+    comp_groups: dict[Hypergraph, list[Hypergraph]] = {}
+    for comp in scan.survivors:
+        for ta, tb in combinations(comp.edges(), 2):
+            shared = len(set(ta) & set(tb))
             if shared not in (0, 2):
                 run.fail(
-                    visited, {"complement_ranks": list(ranks), "shared_vertices": shared},
+                    visited, {"complement_ranks": list(comp.ranks()), "shared_vertices": shared},
                     "missing triples share exactly one vertex",
                 )
-        comp = Hypergraph.from_ranks(7, ranks)
         if contains_fano_embedding(complement(comp)):
-            run.fail(visited, {"complement_ranks": list(ranks)},
+            run.fail(visited, {"complement_ranks": list(comp.ranks())},
                      "image cover test and embedding detector disagree")
-        comp_groups.setdefault(canonical_form(comp), []).append(ranks)
+        comp_groups.setdefault(canonical_form(comp), []).append(comp)
 
     labeled = sum(len(v) for v in comp_groups.values())
     if labeled != 56 or len(comp_groups) != 2:
         run.fail(visited, {"labeled_survivors": labeled, "classes": len(comp_groups)},
                  "unexpected survivor count")
 
-    found: dict[CanonicalForm, dict] = {}
-    for comp_form, members in comp_groups.items():
-        rep = complement(Hypergraph.from_ranks(7, members[0]))
+    found: dict[Hypergraph, dict] = {}
+    for members in comp_groups.values():
+        rep = complement(members[0])
         form = canonical_form(rep)
         orbit = 5040 // automorphism_count(rep)
         if orbit != len(members):
@@ -227,20 +222,20 @@ def verify_lemma_n7(*, seed: int = 0) -> Certificate:
                      "orbit size disagrees with labeled count")
         found[form] = {
             "labeled_count": len(members),
-            "hypergraph": to_json_dict(form.to_hypergraph()),
+            "hypergraph": to_json_dict(form),
             "balanced_bipartite": recognize_balanced_bipartite(rep) is not None,
         }
 
     if set(found) != expected:
-        missing = [f.ranks for f in expected - set(found)]
-        extra = [f.ranks for f in set(found) - expected]
+        missing = [f.ranks() for f in expected - set(found)]
+        extra = [f.ranks() for f in set(found) - expected]
         run.fail(visited, {"missing_classes": missing, "unexpected_classes": extra},
                  "survivor classes differ from the expected ones")
     counts = sorted(d["labeled_count"] for d in found.values())
     if counts != [21, 35]:
         run.fail(visited, {"class_sizes": counts}, "unexpected class sizes")
 
-    return run.passed(visited, [found[f] for f in sorted(found, key=lambda f: f.ranks)])
+    return run.passed(visited, [found[f] for f in sorted(found, key=Hypergraph.ranks)])
 
 
 def verify_ex7(*, seed: int = 0) -> Certificate:
@@ -257,7 +252,8 @@ def verify_ex7(*, seed: int = 0) -> Certificate:
         scan = _raw_survivors(7, c)
         visited += scan.accounted
         if c < 5 and scan.survivors:
-            run.fail(visited, {"complement_ranks": list(scan.survivors[0]), "edges": 35 - c},
+            first = list(scan.survivors[0].ranks())
+            run.fail(visited, {"complement_ranks": first, "edges": 35 - c},
                      "Fano-free hypergraph above 30 edges")
     if len(scan.survivors) != 56:
         run.fail(visited, {"survivors": len(scan.survivors)},
@@ -296,15 +292,14 @@ def verify_ex8(
     scan7 = _canonical_survivors(8, 7)
     visited = scan7.accounted
     if scan7.survivors:
-        run.fail(visited, {"complement_ranks": list(scan7.survivors[0])},
+        run.fail(visited, {"complement_ranks": list(scan7.survivors[0].ranks())},
                  "a 49-edge Fano-free hypergraph exists")
 
     with CheckpointWriter(checkpoint_path) if checkpoint_path else nullcontext() as writer:
         scan8 = _canonical_survivors(8, 8, checkpoint=writer)
     visited += scan8.accounted
 
-    comps = (Hypergraph.from_ranks(8, r) for r in scan8.survivors)
-    classes = {canonical_form(comp): comp for comp in comps}
+    classes = {canonical_form(comp): comp for comp in scan8.survivors}
     if len(classes) != 1:
         run.fail(visited, {"classes": len(classes)}, "expected exactly one extremal class")
     (comp_form, comp), = classes.items()
@@ -331,7 +326,7 @@ def verify_ex8(
     ):
         run.fail(visited, checks, "extremal class validation failed")
     return run.passed(visited, [{"max_edges": 48, "labeled_extremals": 35,
-                                 "extremal": to_json_dict(canonical_form(primal).to_hypergraph())}])
+                                 "extremal": to_json_dict(canonical_form(primal))}])
 
 
 # ---------------------------------------------------------------------------
