@@ -35,8 +35,11 @@ _FAMILIES = ("complete", "balanced_bipartite", "j7", "fano", "pasch")
 def _read_input(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
 
 
 def _load_hypergraph(path: str) -> Hypergraph:

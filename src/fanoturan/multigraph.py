@@ -30,7 +30,7 @@ from math import comb
 
 from .certificate import Certificate, ClaimRun
 from .errors import CapabilityError, FormatError, ParameterError
-from .hypergraph import b_formula, pair_rank
+from .hypergraph import MAX_VERTICES, b_formula, pair_rank
 
 MAX_LAYERS = 16
 
@@ -46,8 +46,8 @@ class PMultigraph:
     def __post_init__(self) -> None:
         if not 1 <= self.p <= MAX_LAYERS:
             raise ParameterError(f"layer count must be in [1, {MAX_LAYERS}], got {self.p}")
-        if not 1 <= self.n <= 64:
-            raise ParameterError(f"vertex count must be in [1, 64], got {self.n}")
+        if not 1 <= self.n <= MAX_VERTICES:
+            raise ParameterError(f"vertex count must be in [1, {MAX_VERTICES}], got {self.n}")
         if len(self.memb) != comb(self.n, 2):
             raise ParameterError(
                 f"expected {comb(self.n, 2)} pair masks for n={self.n}, got {len(self.memb)}"
@@ -85,8 +85,10 @@ class PMultigraph:
         p, n, pairs = d["p"], d["n"], d["pairs"]
         if not (type(p) is int and type(n) is int and isinstance(pairs, list)):  # bools are not counts
             raise FormatError("multigraph fields have wrong types")
-        if not (1 <= p <= MAX_LAYERS and 1 <= n <= 64):
-            raise FormatError(f"need 1 <= p <= {MAX_LAYERS} and 1 <= n <= 64, got p={p}, n={n}")
+        if not (1 <= p <= MAX_LAYERS and 1 <= n <= MAX_VERTICES):
+            raise FormatError(
+                f"need 1 <= p <= {MAX_LAYERS} and 1 <= n <= {MAX_VERTICES}, got p={p}, n={n}"
+            )
         memb = [0] * comb(n, 2)
         prev = None
         for item in pairs:
@@ -207,6 +209,8 @@ def extremal_4multigraph(n: int) -> PMultigraph:
     """
     if n < 2:
         raise ParameterError(f"need n >= 2, got {n}")
+    if n > MAX_VERTICES:
+        raise ParameterError(f"need n <= {MAX_VERTICES}, got {n}")
     half = n // 2
     memb = [0] * comb(n, 2)
     for u in range(n):
@@ -239,6 +243,8 @@ def f5_lower_constructions(n: int) -> tuple[tuple[PMultigraph, int], tuple[PMult
     """
     if n < 2:
         raise ParameterError(f"need n >= 2, got {n}")
+    if n > MAX_VERTICES:
+        raise ParameterError(f"need n <= {MAX_VERTICES}, got {n}")
     part = _three_part_of(n)
     memb1 = [0] * comb(n, 2)
     for u in range(n):

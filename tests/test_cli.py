@@ -145,6 +145,17 @@ def test_bad_paths_are_usage_errors(tmp_path, capsys):
         assert captured.out == ""
 
 
+def test_non_utf8_files_are_format_errors(tmp_path, capsys):
+    # the same bytes on stdin already give a format error; a file must too
+    path = tmp_path / "bad.bin"
+    path.write_bytes(bytes([0xFF, 0xFE, 0x00, 0x01, 0x61, 0x62]))
+    for argv in (["check", str(path)], ["multigraph", "check", str(path)]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("format error: ") and "utf-8" in captured.err
+        assert captured.out == ""
+
+
 def test_verify_long_run_gate(capsys):
     assert main(["verify", "ex-8"]) == 3
     assert "capability" in capsys.readouterr().err
@@ -174,6 +185,14 @@ def test_verify_parallel_jobs_match_serial(capsys):
     assert main(argv + ["--jobs", "3"]) == 0
     parallel = capsys.readouterr().out
     assert _strip_elapsed(serial) == _strip_elapsed(parallel)
+
+
+def test_verify_reports_claims_in_the_order_named(capsys):
+    argv = ["verify", "matching-facts", "ex-7", "--format", "json"]
+    for jobs in ("1", "2"):
+        assert main(argv + ["--jobs", jobs]) == 0
+        certs = json.loads(capsys.readouterr().out)
+        assert [c["claim"] for c in certs] == ["matching-facts", "ex-7"]
 
 
 def test_verify_reads_jobs_from_environment(capsys, monkeypatch):
@@ -206,6 +225,13 @@ def test_multigraph_extremal4_and_constructions(capsys):
     payload = json.loads(capsys.readouterr().out)
     totals = [c["total"] for c in payload["constructions"]]
     assert totals == [60, 57]
+
+
+def test_multigraph_constructions_beyond_the_vertex_cap_are_usage_errors(capsys):
+    for action in ("extremal4", "constructions"):
+        assert main(["multigraph", action, "1000000000"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.out == ""
 
 
 def test_multigraph_search_and_gate(capsys):

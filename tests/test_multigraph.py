@@ -24,7 +24,7 @@ from fanoturan.multigraph import (
     verify_lemma_4vertex,
     verify_section4_arithmetic,
 )
-from fanoturan.hypergraph import b_formula, pair_rank
+from fanoturan.hypergraph import MAX_VERTICES, b_formula, pair_rank
 
 
 def _random_multigraph(p, n, density, rng):
@@ -190,6 +190,16 @@ def test_f5_lower_constructions_are_crossing_free_with_stated_totals():
         assert g2.edge_total() == t2 == f4_formula(n) + n * n // 4
         assert has_three_crossing_pairs(g1) is None
         assert has_three_crossing_pairs(g2) is None
+
+
+def test_constructions_check_the_vertex_cap_before_building():
+    # 10**9 vertices would need about 5 * 10**17 pair masks
+    assert extremal_4multigraph(MAX_VERTICES).n == MAX_VERTICES
+    for n in (MAX_VERTICES + 1, 10**9):
+        with pytest.raises(ParameterError):
+            extremal_4multigraph(n)
+        with pytest.raises(ParameterError):
+            f5_lower_constructions(n)
 
 
 def test_exact_search_small_values():
