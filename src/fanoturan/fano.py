@@ -145,39 +145,30 @@ def find_fano_embedding(h: Hypergraph) -> tuple[tuple[int, int, int], ...] | Non
     Plane point k goes to vertex ik.  Lines are placed in the fixed order
     012, 234, 045, 036; the remaining lines 135, 256, 146 become pure
     membership checks, applied as early as their points are available
-    (forward checking).
+    (forward checking) by intersecting per-pair third-vertex masks.
     """
     if h.n < 7 or h.edge_count < 7:
         return None
-    has = h.has_edge
     links = _link_pairs(h)
-    thirds: dict[tuple[int, int], list[int]] = {}
-    for a, b, c in h.edges():
-        thirds.setdefault((a, b), []).append(c)
-        thirds.setdefault((a, c), []).append(b)
-        thirds.setdefault((b, c), []).append(a)
-
-    def key(u: int, w: int) -> tuple[int, int]:
-        return (u, w) if u < w else (w, u)
-
+    thirds = h.thirds()
     for a, b, c in h.edges():
         for i0, i1, i2 in permutations((a, b, c)):
             for x, y in links[i2]:
                 if x in (i0, i1) or y in (i0, i1):
                     continue
                 for i3, i4 in ((x, y), (y, x)):
-                    for i5 in thirds.get(key(i0, i4), ()):
-                        if i5 in (i0, i1, i2, i3, i4):
-                            continue
-                        if not has(i1, i3, i5):
-                            continue
-                        for i6 in thirds.get(key(i0, i3), ()):
-                            if i6 in (i0, i1, i2, i3, i4, i5):
-                                continue
-                            if has(i2, i5, i6) and has(i1, i4, i6):
-                                img = (i0, i1, i2, i3, i4, i5, i6)
-                                lines = [(img[u], img[v], img[w]) for u, v, w in FANO_LINES]
-                                return tuple(tuple(sorted(t)) for t in lines)
+                    used = 1 << i0 | 1 << i1 | 1 << i2 | 1 << i3 | 1 << i4
+                    fives = thirds[i0][i4] & thirds[i1][i3] & ~used
+                    while fives:  # ascending i5, as in colex order
+                        low = fives & -fives
+                        fives ^= low
+                        i5 = low.bit_length() - 1
+                        sixes = thirds[i0][i3] & thirds[i2][i5] & thirds[i1][i4] & ~(used | low)
+                        if sixes:
+                            i6 = (sixes & -sixes).bit_length() - 1
+                            img = (i0, i1, i2, i3, i4, i5, i6)
+                            lines = [(img[u], img[v], img[w]) for u, v, w in FANO_LINES]
+                            return tuple(tuple(sorted(t)) for t in lines)
     return None
 
 

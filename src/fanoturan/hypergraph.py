@@ -98,6 +98,18 @@ class Hypergraph:
         """All edges as sorted triples, in colex order."""
         return tuple(TRIPLES[r] for r in self.ranks())
 
+    def thirds(self) -> list[list[int]]:
+        """thirds[u][w]: the bitmask of the vertices c with {u, w, c} an edge."""
+        out = [[0] * self.n for _ in range(self.n)]
+        for a, b, c in self.edges():
+            out[a][b] |= 1 << c
+            out[b][a] |= 1 << c
+            out[a][c] |= 1 << b
+            out[c][a] |= 1 << b
+            out[b][c] |= 1 << a
+            out[c][b] |= 1 << a
+        return out
+
     def has_edge(self, a: int, b: int, c: int) -> bool:
         a, b, c = sorted((a, b, c))
         return bool(self.bits >> triple_rank(a, b, c) & 1)

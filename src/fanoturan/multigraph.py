@@ -35,6 +35,13 @@ from .hypergraph import MAX_VERTICES, b_formula, pair_rank
 MAX_LAYERS = 16
 
 
+def _check_size(p: int, n: int) -> None:
+    if not 1 <= p <= MAX_LAYERS:
+        raise ParameterError(f"layer count must be in [1, {MAX_LAYERS}], got {p}")
+    if not 1 <= n <= MAX_VERTICES:
+        raise ParameterError(f"vertex count must be in [1, {MAX_VERTICES}], got {n}")
+
+
 @dataclass(frozen=True, slots=True)
 class PMultigraph:
     """n vertices, p layers, per-pair layer membership masks in colex order."""
@@ -44,10 +51,7 @@ class PMultigraph:
     memb: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if not 1 <= self.p <= MAX_LAYERS:
-            raise ParameterError(f"layer count must be in [1, {MAX_LAYERS}], got {self.p}")
-        if not 1 <= self.n <= MAX_VERTICES:
-            raise ParameterError(f"vertex count must be in [1, {MAX_VERTICES}], got {self.n}")
+        _check_size(self.p, self.n)
         if len(self.memb) != comb(self.n, 2):
             raise ParameterError(
                 f"expected {comb(self.n, 2)} pair masks for n={self.n}, got {len(self.memb)}"
@@ -59,6 +63,7 @@ class PMultigraph:
 
     @classmethod
     def complete(cls, p: int, n: int) -> "PMultigraph":
+        _check_size(p, n)  # before building the comb(n, 2) masks
         return cls(p, n, ((1 << p) - 1,) * comb(n, 2))
 
     def multiplicity(self, u: int, v: int) -> int:

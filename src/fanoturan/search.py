@@ -101,12 +101,19 @@ def _canonical_survivors(
     of a canonical set is canonical, so rejecting a child (with r the new
     largest rank, k+1 edges placed) cuts exactly C(T-1-r, size-k-1) leaf
     sets.  A child is also rejected when the triples left cannot hit the
-    images it leaves uncovered, so the leaves reached are exactly the
-    canonical complements hitting all plane images.
+    images it leaves uncovered: too few of them (the count bound), or none
+    of rank above r through some uncovered image (the reach test).  So the
+    leaves reached are exactly the canonical complements hitting all plane
+    images.
     """
     T = comb(n, 3)
     table = cover_table(n)
-    masks, nimages, most = table.masks, table.full.bit_count(), table.most
+    masks, full, most = table.masks, table.full, table.most
+    nimages = full.bit_count()
+    # reach[r]: the images that some triple of rank >= r can still hit.
+    reach = [0] * (T + 1)
+    for r in range(T - 1, -1, -1):
+        reach[r] = reach[r + 1] | masks[r]
     survivors: list[Hypergraph] = []
     accounted = 0
     nodes = 0
@@ -122,7 +129,7 @@ def _canonical_survivors(
         for r in range(maxr + 1, T):
             tail = comb(T - 1 - r, rem)
             newcov = covered | masks[r]
-            if nimages - newcov.bit_count() > most * rem:
+            if nimages - newcov.bit_count() > most * rem or newcov | reach[r + 1] != full:
                 accounted += tail
                 continue
             nb = bits | 1 << r

@@ -2,8 +2,8 @@
 
 import random
 import time
-from itertools import permutations
-from math import comb
+from itertools import combinations, permutations
+from math import comb, factorial
 
 import pytest
 
@@ -15,7 +15,7 @@ from fanoturan.canonical import (
     relabel,
 )
 from fanoturan.errors import CapabilityError, ParameterError
-from fanoturan.hypergraph import Hypergraph, construct, random_hypergraph
+from fanoturan.hypergraph import Hypergraph, complement, construct, random_hypergraph
 
 
 def _shuffled(h, rng):
@@ -167,6 +167,11 @@ def test_brute_force_oracle_on_small_inputs():
         construct("complete", 5),
         construct("complete", 6),
         construct("pasch", 6),
+        construct("balanced_bipartite", 4),
+        construct("balanced_bipartite", 5),
+        construct("balanced_bipartite", 6),
+        complement(construct("balanced_bipartite", 6)),
+        _disjoint_k4s(6),  # one K_4^(3) and two isolated vertices
     ]
     for n in range(3, 7):
         triples = range(comb(n, 3))
@@ -183,8 +188,9 @@ def test_brute_force_oracle_on_small_inputs():
 
 
 def test_sparse_inputs_on_twelve_vertices_finish():
-    # Both have isolated vertices, whose orders complete to one sequence, so
-    # the search never enumerates the |Aut| tied leaves one by one.
+    # Isolated vertices complete to one sequence in every order, and each
+    # tied leaf prunes the subtrees its automorphism maps onto one another,
+    # so neither input enumerates its |Aut| tied leaves one by one.
     start = time.process_time()
     assert automorphism_count(Hypergraph(CANONICAL_CAP, 1)) == 6 * 362880
     fano = construct("fano", 7)
@@ -193,3 +199,53 @@ def test_sparse_inputs_on_twelve_vertices_finish():
     assert [r for r in range(56) if is_canonical(Hypergraph(8, 1 << r))] == [0]
     # About 0.2 s of CPU time; visiting each tied leaf took about 50 s.
     assert time.process_time() - start < 10
+
+
+def _disjoint_k4s(n):
+    """K_4^(3) on {0..3}, plus one on {4..7} when n >= 8."""
+    quads = [(0, 1, 2, 3), (4, 5, 6, 7)] if n >= 8 else [(0, 1, 2, 3)]
+    return Hypergraph.from_edges(n, [t for q in quads for t in combinations(q, 3)])
+
+
+@pytest.mark.parametrize("n", range(8, CANONICAL_CAP + 1))
+def test_balanced_bipartite_automorphisms_within_budget(n):
+    # Aut(B_n) permutes each class and swaps equal classes; the tied leaves
+    # number that many, so enumerating them one by one took 50 s at n = 12.
+    x, y = n // 2, n - n // 2
+    want = factorial(x) * factorial(y) * (2 if x == y else 1)
+    b = construct("balanced_bipartite", n)
+    rng = random.Random(n)
+    for h in (b, complement(b)):
+        g = _shuffled(h, rng)  # a labeling no other test has cached
+        start = time.process_time()
+        assert automorphism_count(g) == want
+        assert is_canonical(canonical_form(g))
+        assert time.process_time() - start < 1
+
+
+def test_symmetric_inputs_are_relabel_invariant():
+    rng = random.Random(11)
+    subjects = [construct("balanced_bipartite", n) for n in range(7, CANONICAL_CAP + 1)]
+    subjects += [construct("j7", 7), construct("fano", 7), _disjoint_k4s(8)]
+    subjects += [complement(h) for h in subjects]
+    for h in subjects:
+        want = canonical_form(h), automorphism_count(h)
+        for _ in range(10):
+            g = _shuffled(h, rng)
+            assert (canonical_form(g), automorphism_count(g)) == want, h
+    assert automorphism_count(_disjoint_k4s(8)) == 24 * 24 * 2
+
+
+def test_is_canonical_agrees_with_the_form():
+    rng = random.Random(77)
+    forms = []
+    for _ in range(60):
+        n = rng.randint(4, 8)
+        forms.append(canonical_form(random_hypergraph(n, rng.uniform(0.1, 0.6), rng)))
+    forms += [canonical_form(construct("balanced_bipartite", n)) for n in range(4, 11)]
+    forms += [canonical_form(_disjoint_k4s(8)), canonical_form(construct("j7", 7))]
+    for f in forms:
+        assert is_canonical(f), f
+        for _ in range(3):
+            g = _shuffled(f, rng)
+            assert is_canonical(g) == (canonical_form(g) == g), g

@@ -195,11 +195,14 @@ def test_f5_lower_constructions_are_crossing_free_with_stated_totals():
 def test_constructions_check_the_vertex_cap_before_building():
     # 10**9 vertices would need about 5 * 10**17 pair masks
     assert extremal_4multigraph(MAX_VERTICES).n == MAX_VERTICES
+    assert PMultigraph.complete(4, MAX_VERTICES).n == MAX_VERTICES
     for n in (MAX_VERTICES + 1, 10**9):
         with pytest.raises(ParameterError):
             extremal_4multigraph(n)
         with pytest.raises(ParameterError):
             f5_lower_constructions(n)
+        with pytest.raises(ParameterError):
+            PMultigraph.complete(4, n)
 
 
 def test_exact_search_small_values():
