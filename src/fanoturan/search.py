@@ -1,10 +1,13 @@
 """Exhaustive boundary searches and claim verifiers with run certificates.
 
-Two enumeration engines drive everything.  The raw engine walks every
-complement edge set of a given size and keeps those whose primal hypergraph
-is Fano-free (the complement must intersect every plane image); ex-7 and
-lemma-n7 count labeled survivors with it.  The canonical engine, behind
-max_fano_free_edges and ex-8, walks only complements that are the
+Two enumeration engines drive everything.  The raw engine accounts for
+every labeled complement edge set of a given size and lists those whose
+primal hypergraph is Fano-free (the complement must intersect every plane
+image); it branches on the lowest image not yet hit, charging in bulk the
+sets that can no longer hit it, so it never walks the sets one at a time.
+ex-7 and lemma-n7 count labeled survivors with it, and fact-tetra runs the
+same brancher over 4-sets instead of plane images.  The canonical engine,
+behind max_fano_free_edges and ex-8, walks only complements that are the
 least-labeled member of their isomorphism class, adding edges in increasing
 colex rank; whenever a child is rejected (not canonical, or provably unable
 to cover the remaining plane images) the engine charges the full count of
@@ -69,8 +72,59 @@ class ScanResult:
     accounted: int
 
 
+def _hitting_sets(masks, full, size: int) -> tuple[list[tuple[int, ...]], int]:
+    """Every size-subset of range(len(masks)) whose masks cover full, and its accounting.
+
+    Labeled hitting-set branching (after Niedermeier and Rossmanith, 2003):
+    at each node take the lowest image not yet hit; its options are the
+    still-allowed elements that hit it.  The sets avoiding every option are
+    charged as dead, and child j takes option j and forbids options 1..j-1,
+    so the children partition the rest.  Once every image is hit, each
+    completion by allowed elements survives.  The charges sum to
+    C(len(masks), size), and the survivors come back as ascending rank
+    tuples in lexicographic order, the order of itertools.combinations.
+    """
+    T = len(masks)
+    hitters: dict[int, int] = {}  # image bit -> the elements hitting it, as a mask
+    for r, m in enumerate(masks):
+        while m:
+            low = m & -m
+            hitters[low] = hitters.get(low, 0) | 1 << r
+            m ^= low
+    survivors: list[tuple[int, ...]] = []
+    accounted = 0
+
+    def rec(covered: int, allowed: int, chosen: int, rem: int) -> None:
+        nonlocal accounted
+        unhit = full & ~covered
+        if not unhit:
+            accounted += comb(allowed.bit_count(), rem)
+            base = tuple(r for r in range(T) if chosen >> r & 1)
+            for extra in combinations([r for r in range(T) if allowed >> r & 1], rem):
+                survivors.append(tuple(sorted(base + extra)))
+            return
+        if rem == 0:
+            accounted += 1
+            return
+        options = hitters.get(unhit & -unhit, 0) & allowed
+        accounted += comb(allowed.bit_count() - options.bit_count(), rem)
+        while options:
+            low = options & -options
+            allowed ^= low
+            rec(covered | masks[low.bit_length() - 1], allowed, chosen | low, rem - 1)
+            options ^= low
+
+    rec(0, (1 << T) - 1, 0, size)
+    if accounted != comb(T, size):
+        raise AssertionError(
+            f"hitting-set accounting mismatch: {accounted} != C({T}, {size}) = {comb(T, size)}"
+        )
+    survivors.sort()
+    return survivors, accounted
+
+
 def _raw_survivors(n: int, size: int) -> ScanResult:
-    """Every complement of size triples, keeping those whose primal is Fano-free."""
+    """Every labeled complement of size triples whose primal is Fano-free."""
     T = comb(n, 3)
     total = comb(T, size)
     if total > RAW_STATE_CAP:
@@ -78,18 +132,8 @@ def _raw_survivors(n: int, size: int) -> ScanResult:
             f"raw scan of {total} states exceeds the cap {RAW_STATE_CAP}; use canonical dedup"
         )
     table = cover_table(n)
-    masks, full = table.masks, table.full
-    survivors: list[Hypergraph] = []
-    visited = 0
-    for ranks in combinations(range(T), size):
-        visited += 1
-        # table.hits_all inline: a call per state makes the ex-7 scan a fifth slower
-        cov = 0
-        for r in ranks:
-            cov |= masks[r]
-        if cov == full:
-            survivors.append(Hypergraph.from_ranks(n, ranks))
-    return ScanResult(survivors, visited)
+    survivors, accounted = _hitting_sets(table.masks, table.full, size)
+    return ScanResult([Hypergraph.from_ranks(n, ranks) for ranks in survivors], accounted)
 
 
 def _canonical_survivors(
@@ -187,7 +231,8 @@ def max_fano_free_edges(n: int, *, long_run: bool = False) -> tuple[int, list[Hy
 def verify_lemma_n7(*, seed: int = 0) -> Certificate:
     """Classify all 30-edge Fano-free hypergraphs on 7 vertices.
 
-    Scans every 5-edge complement, checks the complement dichotomy (any two
+    Accounts for every 5-edge complement through the hitting-set brancher
+    and lists the labeled survivors, checks the complement dichotomy (any two
     missing triples share 0 or 2 vertices), groups survivors up to
     isomorphism and matches the classes against the constructions named in
     LEMMA_N7_FAMILIES: the balanced bipartite hypergraph and the complete
@@ -248,9 +293,10 @@ def verify_lemma_n7(*, seed: int = 0) -> Certificate:
 def verify_ex7(*, seed: int = 0) -> Certificate:
     """The 7-vertex maximum is 30: no survivors below 5 missing triples.
 
-    Scans complement sizes 0..5 exhaustively and confirms both named
-    extremal constructions attain the bound and pass all three independent
-    plane detectors as Fano-free.
+    Accounts for every complement of sizes 0..5 through the hitting-set
+    brancher (384,168 states, none walked one at a time) and confirms both
+    named extremal constructions attain the bound and pass all three
+    independent plane detectors as Fano-free.
     """
     space = sum(comb(35, c) for c in range(6))
     run = ClaimRun("ex-7", space, seed)
@@ -524,12 +570,39 @@ def verify_matching_facts(*, seed: int = 0) -> Certificate:
 # Tetrahedra at the balanced count.
 # ---------------------------------------------------------------------------
 
+def _quad_masks(m: int) -> tuple[list[int], int]:
+    """Per triple rank on m vertices, the 4-sets containing it, and the mask of all 4-sets.
+
+    A hypergraph has no tetrahedron iff its missing triples hit every 4-set.
+    """
+    quads_through = [0] * comb(m, 3)
+    for i, quad in enumerate(combinations(range(m), 4)):
+        for t in combinations(quad, 3):
+            quads_through[triple_rank(*t)] |= 1 << i
+    return quads_through, (1 << comb(m, 4)) - 1
+
+
+def _lex_combination(T: int, size: int, index: int) -> tuple[int, ...]:
+    """The index-th size-subset of range(T) in the order of itertools.combinations."""
+    out = []
+    x = 0
+    for k in range(size, 0, -1):
+        while comb(T - x - 1, k - 1) <= index:  # the subsets starting at x come first
+            index -= comb(T - x - 1, k - 1)
+            x += 1
+        out.append(x)
+        x += 1
+    return tuple(out)
+
+
 def verify_fact_tetra(*, seed: int = 0) -> Certificate:
     """Every hypergraph with b(n) edges contains a complete 4-vertex piece.
 
-    Exhaustive over complements for each n in FACT_TETRA_VERTEX_COUNTS, with
-    a random re-verification sample routed through the independent clique
-    finder, plus the exact chain 3 C(n,3) < 4 b(n) for all n in [4, 64].
+    For each n in FACT_TETRA_VERTEX_COUNTS, hitting-set branching accounts
+    for every complement of C(n,3) - b(n) triples and lists those that hit
+    every 4-set, which must be none.  A seeded sample of those states, drawn
+    by lexicographic index, is re-verified with the independent clique
+    finder.  The exact chain 3 C(n,3) < 4 b(n) covers all n in [4, 64].
     """
     targets = FACT_TETRA_VERTEX_COUNTS
     rng = random.Random(seed)
@@ -541,27 +614,18 @@ def verify_fact_tetra(*, seed: int = 0) -> Certificate:
     for m in targets:
         T = comb(m, 3)
         c = T - b_formula(m)
-        # per triple rank, the 4-sets containing it: a hypergraph has no
-        # tetrahedron iff its missing triples hit every 4-set
-        quads_through = [0] * T
-        for i, quad in enumerate(combinations(range(m), 4)):
-            for t in combinations(quad, 3):
-                quads_through[triple_rank(*t)] |= 1 << i
-        every_quad = (1 << comb(m, 4)) - 1
         total = comb(T, c)
-        sample = set(rng.sample(range(total), min(100, total)))
-        for idx, ranks in enumerate(combinations(range(T), c)):
-            visited += 1
-            hit = 0
-            for r in ranks:
-                hit |= quads_through[r]
-            if hit == every_quad:
+        sample = rng.sample(range(total), min(100, total))
+        survivors, accounted = _hitting_sets(*_quad_masks(m), c)
+        visited += accounted
+        if survivors:
+            run.fail(visited, {"n": m, "complement_ranks": list(survivors[0])},
+                     "a hypergraph at the balanced count with no tetrahedron")
+        for idx in sorted(sample):
+            ranks = _lex_combination(T, c, idx)
+            if find_clique(complement(Hypergraph.from_ranks(m, ranks)), 4) is None:
                 run.fail(visited, {"n": m, "complement_ranks": list(ranks)},
-                         "a hypergraph at the balanced count with no tetrahedron")
-            if idx in sample:
-                if find_clique(complement(Hypergraph.from_ranks(m, ranks)), 4) is None:
-                    run.fail(visited, {"n": m, "complement_ranks": list(ranks)},
-                             "clique finder disagrees with the mask scan")
+                         "clique finder disagrees with the mask scan")
 
     for m in chain:
         visited += 1

@@ -69,8 +69,9 @@ def test_criterion_01_seven_vertex_boundary_and_classes():
     with _Budget(1, 60, "ex(7) = 30 with extremal classes {B_7, J_7}"):
         cert = verify_ex7()
         assert cert.passed()
-        # the scan walks every complement of size 0..5, which contains the
-        # 52,360 four-edge and 324,632 five-edge levels demanded here
+        # the scan accounts for every complement of size 0..5 by hitting-set
+        # branching, which includes the 52,360 four-edge and 324,632
+        # five-edge levels demanded here
         assert cert.space == sum(comb(35, c) for c in range(6))
         assert comb(35, 4) == 52360 and comb(35, 5) == 324632
         assert cert.witnesses[0]["max_edges"] == 30 == b_formula(7)

@@ -23,7 +23,13 @@ from fanoturan.errors import (
     ParameterError,
     VerificationError,
 )
-from fanoturan.fano import contains_fano_cover, contains_fano_embedding
+from fanoturan.fano import (
+    CoverTable,
+    contains_fano_cover,
+    contains_fano_embedding,
+    cover_table,
+    find_clique,
+)
 from fanoturan.hypergraph import (
     Hypergraph,
     b_formula,
@@ -137,6 +143,100 @@ def test_boundary_supersets_stay_covered():
             assert contains_fano_embedding(Hypergraph(7, bits))
 
 
+def _plain_walk(masks, full, size):
+    """The oracle: every size-subset in combinations order, kept when it hits every image."""
+    kept = []
+    walked = 0
+    for ranks in combinations(range(len(masks)), size):
+        walked += 1
+        cov = 0
+        for r in ranks:
+            cov |= masks[r]
+        if cov == full:
+            kept.append(ranks)
+    return kept, walked
+
+
+def _scan_inputs():
+    for n, sizes in ((6, range(4)), (7, range(6))):
+        for size in sizes:
+            yield pytest.param("cover", n, size, id=f"cover-n{n}-size{size}")
+    for m in (4, 5, 6, 7):
+        yield pytest.param("quads", m, comb(m, 3) - b_formula(m), id=f"quads-m{m}")
+
+
+@pytest.mark.parametrize("kind,n,size", _scan_inputs())
+def test_hitting_sets_agree_with_a_plain_walk(kind, n, size):
+    # n = 6 has no plane images, so every set survives; the quad masks are
+    # fact-tetra's, at its sizes C(m, 3) - b(m)
+    if kind == "cover":
+        table = cover_table(n)
+        masks, full = table.masks, table.full
+    else:
+        masks, full = search._quad_masks(n)
+    survivors, accounted = search._hitting_sets(masks, full, size)
+    kept, walked = _plain_walk(masks, full, size)
+    assert survivors == kept
+    assert accounted == walked == comb(len(masks), size)
+    if kind == "cover" and n == 7:
+        assert len(survivors) == (56 if size == 5 else 0)
+
+
+def test_hitting_sets_accounting_catches_a_dropped_dead_charge(monkeypatch):
+    # at the root of the n = 7, size-5 scan, the lowest image has 7 options,
+    # so its dead charge is C(35 - 7, 5); nothing else asks for C(28, 5)
+    dropped = []
+
+    def comb_without_the_root_charge(a, b):
+        if (a, b) == (28, 5):
+            dropped.append((a, b))
+            return 0
+        return comb(a, b)
+
+    monkeypatch.setattr(search, "comb", comb_without_the_root_charge)
+    table = cover_table(7)
+    with pytest.raises(AssertionError, match="accounting mismatch"):
+        search._hitting_sets(table.masks, table.full, 5)
+    assert dropped == [(28, 5)]
+
+
+def test_lex_combination_follows_combinations_order():
+    for T in range(9):
+        for size in range(T + 1):
+            walk = list(combinations(range(T), size))
+            assert [search._lex_combination(T, size, i) for i in range(len(walk))] == walk
+    walk = combinations(range(35), 5)
+    for i, ranks in enumerate(walk):
+        if i % 9973 == 0:
+            assert search._lex_combination(35, 5, i) == ranks
+    assert search._lex_combination(35, 5, comb(35, 5) - 1) == (30, 31, 32, 33, 34)
+
+
+def test_raw_scan_cap_raises_before_any_work(monkeypatch):
+    built = []
+    monkeypatch.setattr(search, "cover_table", lambda n: built.append(n))
+    assert comb(56, 5) == 3819816 > search.RAW_STATE_CAP
+    with pytest.raises(CapabilityError) as info:
+        search._raw_survivors(8, 5)
+    assert str(info.value) == (
+        "raw scan of 3819816 states exceeds the cap 2000000; use canonical dedup"
+    )
+    assert built == []
+
+
+def test_dropping_one_image_leaves_the_seven_vertex_levels_unchanged():
+    # each plane image on 7 points is hit by every 5-set that hits the other
+    # 29, and no 4-set hits 29 of them: a table missing one image is an
+    # equivalent mutant for ex-7 and lemma-n7
+    table = cover_table(7)
+    boundary = search._hitting_sets(table.masks, table.full, 5)[0]
+    for image in range(30):
+        keep = table.full & ~(1 << image)
+        masks = [m & keep for m in table.masks]
+        assert search._hitting_sets(masks, keep, 4)[0] == []
+        assert search._hitting_sets(masks, keep, 5)[0] == boundary
+
+
 # ---------------------------------------------------------------------------
 # Claim verifiers.
 # ---------------------------------------------------------------------------
@@ -181,6 +281,41 @@ def test_lemma_n7_rejects_a_wrong_class_list(monkeypatch):
     w = cert.witnesses[0]
     assert fake.ranks() in w["missing_classes"]
     assert w["unexpected_classes"] == []
+
+
+def _unhittable_image(table):
+    # image 0 stays in the table but no triple hits it: nothing is Fano-free
+    return CoverTable(tuple(m & ~1 for m in table.masks), table.full, table.most)
+
+
+def _triple_hitting_every_image(table):
+    # triple 0 is credited with every image: one missing triple suffices
+    return CoverTable((table.full,) + table.masks[1:], table.full, table.full.bit_count())
+
+
+@pytest.mark.parametrize("mutant,ex7_failure,n7_failure", [
+    (_unhittable_image, ("wrong survivor count at the boundary", 384168),
+     "unexpected survivor count"),
+    (_triple_hitting_every_image, ("Fano-free hypergraph above 30 edges", 1 + 35),
+     "missing triples share exactly one vertex"),
+])
+def test_seven_vertex_scans_reject_a_wrong_cover_table(
+    monkeypatch, mutant, ex7_failure, n7_failure
+):
+    table = mutant(cover_table(7))
+    monkeypatch.setattr(search, "cover_table", lambda n: table)
+    with pytest.raises(VerificationError) as info:
+        verify_ex7(seed=4)
+    cert = info.value.certificate
+    assert (cert.claim, cert.verdict, cert.space) == ("ex-7", "fail", 384168)
+    assert (str(info.value), cert.visited) == ex7_failure
+    with pytest.raises(VerificationError) as info:
+        verify_lemma_n7(seed=4)
+    cert = info.value.certificate
+    assert (cert.claim, cert.verdict, cert.space, cert.visited) == (
+        "lemma-n7", "fail", 324632, 324632,
+    )
+    assert str(info.value) == n7_failure
 
 
 def test_lemma_2_3_certificate():
@@ -241,6 +376,29 @@ def test_fact_tetra_certificate(monkeypatch):
     assert single.passed()
     assert single.witnesses[0]["vertex_counts"] == [5]
     assert single.space == comb(10, 1) + len(range(4, 65))
+
+
+def test_fact_tetra_fails_below_the_tetrahedron_free_maximum(monkeypatch):
+    # T(7, 4, 3) = 12: some 23-edge hypergraph on 7 vertices has no tetrahedron
+    # (3,570 labeled ones), while every 24-edge one has
+    real_b = search.b_formula
+    monkeypatch.setattr(search, "b_formula", lambda n: 23 if n == 7 else real_b(n))
+    monkeypatch.setattr(search, "FACT_TETRA_VERTEX_COUNTS", (7,))
+    with pytest.raises(VerificationError) as info:
+        verify_fact_tetra(seed=4)
+    cert = info.value.certificate
+    assert (cert.claim, cert.verdict, cert.seed) == ("fact-tetra", "fail", 4)
+    assert cert.space == comb(35, 12) + len(range(4, 65))
+    assert cert.visited == comb(35, 12)
+    assert str(info.value) == "a hypergraph at the balanced count with no tetrahedron"
+    w = cert.witnesses[0]
+    assert w["n"] == 7 and len(w["complement_ranks"]) == 12
+    primal = complement(Hypergraph.from_ranks(7, w["complement_ranks"]))
+    assert primal.edge_count == 23
+    assert find_clique(primal, 4) is None
+    survivors, _ = search._hitting_sets(*search._quad_masks(7), 12)
+    assert len(survivors) == 3570 and list(survivors[0]) == w["complement_ranks"]
+    assert search._hitting_sets(*search._quad_masks(7), 11)[0] == []
 
 
 def test_ex8_long_run_with_checkpoints(tmp_path):
