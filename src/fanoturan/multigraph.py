@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import accumulate, combinations
 from math import comb
 
 from .certificate import Certificate, ClaimRun
@@ -467,10 +467,16 @@ def verify_lemma_4vertex(*, seed: int = 0) -> Certificate:
     4-vertex set permutes the three matchings slot-preservingly).  The states
     below both thresholds are charged in bulk from their closed-form count,
     so the ClaimRun's visited == space check reconciles the scan exactly.
+    For each pair (a, b) of the first two assignments, the third ranges over
+    a contiguous run of the deficit-sorted combos, and each threshold cuts a
+    prefix of that run.  Whether the third crosses depends only on the row
+    sdr[a][b], so per-row prefix counts of crossing-free combos turn every
+    count into a weighted range sum, and per-row next-crossing-free indices
+    find the first failing third, with the visited count it had in the
+    combo-by-combo scan.
     """
     p = 5
     full = (1 << p) - 1
-    # the lemma's numbers, bound to locals for the hot loop
     min_sum, max_sum, full_pair = (
         LEMMA_4VERTEX_MIN_SUM, LEMMA_4VERTEX_SUM_BOUND, LEMMA_4VERTEX_FULL_PAIR
     )
@@ -480,6 +486,30 @@ def verify_lemma_4vertex(*, seed: int = 0) -> Certificate:
     combos, _ = _combo_table(p)
     sdr = _sdr_table(p)
     ncombos = len(combos)
+    # ends[k]: the number of combos with deficit <= k, as C(2p, d) have deficit d
+    ends = list(accumulate(comb(2 * p, d) for d in range(2 * p + 1)))
+
+    def end(k: int) -> int:
+        return ends[min(k, 2 * p)] if k >= 0 else 0
+
+    def has_full(combo: tuple) -> bool:
+        return combo[1] == full or combo[2] == full
+
+    # per distinct sdr row: prefix counts of crossing-free combos, and the
+    # next crossing-free index, overall and among combos without a full pair
+    # (unsigned shorts, as ncombos is 1024, so the tables stay small)
+    row_tables: dict[tuple, tuple[memoryview, memoryview, memoryview]] = {}
+
+    def tables_for(row: tuple) -> tuple[memoryview, memoryview, memoryview]:
+        pre, nf, nfn = (memoryview(bytearray(2 * (ncombos + 1))).cast("H") for _ in range(3))
+        nf[ncombos] = nfn[ncombos] = ncombos
+        free = [not row[combo[3]] for combo in combos]
+        for j in range(ncombos):
+            pre[j + 1] = pre[j] + free[j]
+        for j in range(ncombos - 1, -1, -1):
+            nf[j] = j if free[j] else nf[j + 1]
+            nfn[j] = j if free[j] and not has_full(combos[j]) else nfn[j + 1]
+        return pre, nf, nfn
 
     accounted = space - sum(comb(6 * p, k) for k in range(cutoff + 1))  # below both thresholds
     scanned = 0
@@ -501,41 +531,53 @@ def verify_lemma_4vertex(*, seed: int = 0) -> Certificate:
         run.fail(accounted + scanned, witness, reason)
 
     for ia in range(ncombos):
-        da = combos[ia][0]
+        ca = combos[ia]
+        da = ca[0]
         if 3 * da > cutoff:
             break
         for ib in range(ia, ncombos):
-            db = combos[ib][0]
+            cb = combos[ib]
+            db = cb[0]
             if da + 2 * db > cutoff:
                 break
-            for ic in range(ib, ncombos):
-                dc = combos[ic][0]
-                d = da + db + dc
-                if d > cutoff:
-                    break
-                if ia == ib == ic:
-                    mult = 1
-                elif ia == ib or ib == ic:
-                    mult = 3
-                else:
-                    mult = 6
-                scanned += mult
-                ca, cb, cc = combos[ia], combos[ib], combos[ic]
-                if sdr[ca[3]][cb[3]][cc[3]]:
-                    n_cross += mult
-                    continue
-                n_free += mult
-                e = 6 * p - d
-                if e >= min_sum:
-                    n_min_sum_checked += mult
-                    if 2 * p - dc > max_sum:  # dc is the largest deficit
-                        fail(ca, cb, cc, "min matching sum exceeds bound", e)
-                if e >= full_pair:
-                    n_full_pair_checked += mult
-                    if not any(
-                        combo[1] == full or combo[2] == full for combo in (ca, cb, cc)
-                    ):
-                        fail(ca, cb, cc, "no pair with full multiplicity", e)
+            row = sdr[ca[3]][cb[3]]
+            tables = row_tables.get(row)
+            if tables is None:
+                tables = row_tables[row] = tables_for(row)
+            pre, nf, nfn = tables
+            # the third combo ic runs over [ib, hi); ic == ib weighs w0, later ones w1
+            w0, w1 = (1, 3) if ia == ib else (3, 6)
+            free0 = w0 * (pre[ib + 1] - pre[ib])
+
+            def free_weight(h: int) -> int:
+                """Weighted crossing-free states with ib <= ic < h."""
+                return free0 + w1 * (pre[h] - pre[ib + 1]) if h > ib else 0
+
+            rest = 6 * p - da - db  # the edge total is rest - dc
+            hi = end(cutoff - da - db)
+            min_sum_end = end(rest - min_sum)
+            full_pair_end = end(rest - full_pair)
+
+            # the first failing third, if any; the min-sum reason wins a tie,
+            # as it is checked first for each state.  A third's matching sum
+            # 2p - dc exceeds max_sum while dc <= 2p - max_sum - 1.
+            first, reason = ncombos, ""
+            if nf[ib] < min(min_sum_end, end(2 * p - max_sum - 1)):
+                first, reason = nf[ib], "min matching sum exceeds bound"
+            if not (has_full(ca) or has_full(cb)) and nfn[ib] < min(full_pair_end, first):
+                first, reason = nfn[ib], "no pair with full multiplicity"
+            if reason:
+                cc = combos[first]
+                scanned += w0 + w1 * (first - ib)
+                fail(ca, cb, cc, reason, rest - cc[0])
+
+            states = w0 + w1 * (hi - ib - 1)
+            free_states = free_weight(hi)
+            scanned += states
+            n_cross += states - free_states
+            n_free += free_states
+            n_min_sum_checked += free_weight(min_sum_end)
+            n_full_pair_checked += free_weight(full_pair_end)
 
     witness = {
         "crossing_states_at_threshold": n_cross,

@@ -391,9 +391,20 @@ _SIX_PAIRS = tuple(combinations(range(6), 2))
 _APEX_RANKS = tuple(triple_rank(u, w, 6) for u, w in _SIX_PAIRS)
 
 
-def _apex_nonlink_cover(link_mask: int) -> int:
-    """Images hit by the apex triples {u, w, 6} whose pair uw is outside the link."""
-    return cover_table(7).cover([_APEX_RANKS[i] for i in range(15) if not link_mask >> i & 1])
+def _apex_nonlink_covers() -> memoryview:
+    """Per link mask, the images hit by the apex triples {u, w, 6} with uw outside the link.
+
+    Filled from the full link down, one OR per link: the entry for m extends
+    the entry for m plus its lowest missing pair by that pair's apex triple.
+    """
+    masks = cover_table(7).masks
+    apex = {1 << i: masks[r] for i, r in enumerate(_APEX_RANKS)}
+    size = 1 << len(_APEX_RANKS)
+    out = memoryview(bytearray(4 * size)).cast("I")  # 30 images fit in 32 unsigned bits
+    for m in range(size - 2, -1, -1):
+        low = ~m & (m + 1)
+        out[m] = out[m | low] | apex[low]
+    return out
 
 
 def _apex_hypergraph(comp_triples, link_mask: int) -> Hypergraph:
@@ -424,7 +435,7 @@ def verify_lemma_2_3(*, seed: int = 0) -> Certificate:
     run = ClaimRun("lemma-2-3", space, seed)
     min_degree = LEMMA_2_3_MIN_LINK_DEGREE
     link_masks = [m for m in range(1 << 15) if m.bit_count() >= min_degree]
-    nonlink_cover = {m: _apex_nonlink_cover(m) for m in link_masks}
+    nonlink_cover = _apex_nonlink_covers()
     bulk = ((1 << 15) - len(link_masks)) * len(comp_choices)
 
     visited = bulk
@@ -477,12 +488,13 @@ def verify_fact_2_4(*, seed: int = 0) -> Certificate:
     full = cover_table(7).full
     space = 1 << 15
     run = ClaimRun("fact-2-4", space, seed)
+    nonlink_cover = _apex_nonlink_covers()
     visited = 0
     best = -1
     argmax: list[int] = []
     for m in range(1 << 15):
         visited += 1
-        if _apex_nonlink_cover(m) == full:
+        if nonlink_cover[m] == full:
             sz = m.bit_count()
             if sz > best:
                 best, argmax = sz, [m]

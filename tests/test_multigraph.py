@@ -9,6 +9,7 @@ from math import comb
 import pytest
 
 from fanoturan import multigraph
+from fanoturan.certificate import ClaimRun
 from fanoturan.errors import CapabilityError, FormatError, ParameterError, VerificationError
 from fanoturan.multigraph import (
     CrossingWitness,
@@ -324,6 +325,120 @@ def test_lemma_4vertex_loose_bound_still_passes(monkeypatch):
     cert = verify_lemma_4vertex()
     assert cert.passed()
     assert cert.witnesses[0]["min_sum_instances"] > 0
+
+
+def _lemma_4vertex_by_plain_scan(seed):
+    """The verifier as a combo-by-combo scan over (ia, ib, ic), for comparison."""
+    p = 5
+    full = (1 << p) - 1
+    min_sum, max_sum, full_pair = (
+        multigraph.LEMMA_4VERTEX_MIN_SUM,
+        multigraph.LEMMA_4VERTEX_SUM_BOUND,
+        multigraph.LEMMA_4VERTEX_FULL_PAIR,
+    )
+    space = (1 << (2 * p)) ** 3
+    run = ClaimRun("lemma-4vertex", space, seed)
+    cutoff = 2 * 3 * p - min(min_sum, full_pair)
+    combos, _ = multigraph._combo_table(p)
+    sdr = multigraph._sdr_table(p)
+    ncombos = len(combos)
+    accounted = space - sum(comb(6 * p, k) for k in range(cutoff + 1))
+    scanned = n_cross = n_free = n_min_sum = n_full_pair = 0
+
+    def fail(ca, cb, cc, reason, e):
+        witness = {
+            "reason": reason,
+            "edge_total": e,
+            "matching_sums": sorted(2 * p - combo[0] for combo in (ca, cb, cc)),
+            "multigraph": multigraph._core_multigraph(ca, cb, cc).to_json_dict(),
+        }
+        run.fail(accounted + scanned, witness, reason)
+
+    for ia in range(ncombos):
+        da = combos[ia][0]
+        if 3 * da > cutoff:
+            break
+        for ib in range(ia, ncombos):
+            db = combos[ib][0]
+            if da + 2 * db > cutoff:
+                break
+            for ic in range(ib, ncombos):
+                dc = combos[ic][0]
+                d = da + db + dc
+                if d > cutoff:
+                    break
+                if ia == ib == ic:
+                    mult = 1
+                elif ia == ib or ib == ic:
+                    mult = 3
+                else:
+                    mult = 6
+                scanned += mult
+                ca, cb, cc = combos[ia], combos[ib], combos[ic]
+                if sdr[ca[3]][cb[3]][cc[3]]:
+                    n_cross += mult
+                    continue
+                n_free += mult
+                e = 6 * p - d
+                if e >= min_sum:
+                    n_min_sum += mult
+                    if 2 * p - dc > max_sum:
+                        fail(ca, cb, cc, "min matching sum exceeds bound", e)
+                if e >= full_pair:
+                    n_full_pair += mult
+                    if not any(combo[1] == full or combo[2] == full for combo in (ca, cb, cc)):
+                        fail(ca, cb, cc, "no pair with full multiplicity", e)
+
+    return run.passed(accounted + scanned, [{
+        "crossing_states_at_threshold": n_cross,
+        "crossing_free_states_at_threshold": n_free,
+        "min_sum_instances": n_min_sum,
+        "full_pair_instances": n_full_pair,
+    }])
+
+
+def _outcome(verifier):
+    """(certificate without elapsed_ms, failure message or None)."""
+    try:
+        cert, msg = verifier(seed=6), None
+    except VerificationError as exc:
+        cert, msg = exc.certificate, str(exc)
+    d = cert.to_json_dict()
+    del d["elapsed_ms"]
+    return d, msg
+
+
+@pytest.mark.parametrize(
+    "constant, value, message",
+    [
+        (None, None, None),
+        ("LEMMA_4VERTEX_SUM_BOUND", 6, None),
+        ("LEMMA_4VERTEX_SUM_BOUND", 4, "min matching sum exceeds bound"),
+        ("LEMMA_4VERTEX_FULL_PAIR", 21, "no pair with full multiplicity"),
+    ],
+)
+def test_lemma_4vertex_range_sums_agree_with_a_plain_scan(monkeypatch, constant, value, message):
+    if constant is not None:
+        monkeypatch.setattr(multigraph, constant, value)
+    got = _outcome(verify_lemma_4vertex)
+    assert got == _outcome(_lemma_4vertex_by_plain_scan)
+    assert got[1] == message
+
+
+def test_lemma_4vertex_one_edge_short_full_pair_fails(monkeypatch):
+    monkeypatch.setattr(multigraph, "LEMMA_4VERTEX_FULL_PAIR", 21)
+    with pytest.raises(VerificationError) as info:
+        verify_lemma_4vertex(seed=4)
+    cert = info.value.certificate
+    assert (cert.claim, cert.verdict, cert.space, cert.visited, cert.seed) == (
+        "lemma-4vertex", "fail", 1073741824, 1061040606, 4,
+    )
+    assert str(info.value) == "no pair with full multiplicity"
+    w = cert.witnesses[0]
+    g = PMultigraph.from_json_dict(w["multigraph"])
+    assert g.edge_total() == w["edge_total"] >= 21
+    assert has_three_crossing_pairs(g) is None
+    assert all(g.multiplicity(a, b) < 5 for a, b in combinations(range(4), 2))
 
 
 def test_corollary_inequalities_hold_and_flip_fails(monkeypatch):

@@ -345,6 +345,15 @@ def test_lemma_2_3_mutant_finds_a_sparse_counterexample(monkeypatch):
     assert sum(h.has_edge(u, w, 6) for u, w in combinations(range(6), 2)) == 10
 
 
+def test_apex_nonlink_covers_match_the_cover_table():
+    table = cover_table(7)
+    covers = search._apex_nonlink_covers()
+    assert len(covers) == 1 << 15
+    for m in range(1 << 15):
+        outside = [search._APEX_RANKS[i] for i in range(15) if not m >> i & 1]
+        assert covers[m] == table.cover(outside), m
+
+
 def test_fact_2_4_certificate():
     cert = verify_fact_2_4()
     assert cert.passed()
