@@ -11,13 +11,19 @@ search module relies on.
 The minimum is found by assigning new labels 0, 1, ... one original vertex
 at a time.  Edges fully inside the first k labels rank below C(k, 3) and
 every later edge ranks at least C(k, 3), so the sorted rank sequence grows
-by append-only chunks; partial sequences are compared against the best
-complete sequence found so far and losing branches are cut.  Candidates at
-each level are ordered by their incremental chunk, which lands on a
-near-minimal leaf immediately and makes the pruning effective.  Once all
-edges are placed the unassigned vertices are isolated, so each of their
-len(remaining)! orders completes to the same sequence and is counted in
-one step.
+by one chunk per label: the edges {i, j, k}, i < j < k, that label k closes.
+A chunk is kept as one int with pair (i, j) at bit _TOP - C(j, 2) - i, so of
+two chunks at the same level the larger int is the lexicographically smaller
+rank sequence (a chunk that extends another is the smaller one: its extra
+edge ranks below every edge of a later level).  Each node holds the chunk
+every unassigned vertex would get from the next label, and extends it for a
+child by one row of pairs (i, k), read from a third-vertex mask.  A node on
+the best labeling's path compares each candidate's chunk with the best one
+at that level before descending: candidates run in decreasing chunk order,
+so the first one that loses ends the loop, and one that wins starts a
+strictly smaller labeling.  Once all edges are placed the unassigned
+vertices are isolated, so each of their len(remaining)! orders completes to
+the same sequence and is counted in one step.
 
 Every other leaf that ties the best one yields an automorphism: send the
 vertex the best leaf labels i to the vertex this leaf labels i.  It fixes
@@ -29,8 +35,11 @@ that fix the assigned labels, has an isomorphic subtree and is skipped.
 Either way the skipped subtree is credited with the tied leaves counted in
 its finished image, and only while best has not changed since, which keeps
 |Aut| exact (McKay and Piperno, "Practical Graph Isomorphism II", 2014).
-is_canonical runs the same search with h's own sequence as the starting
-bound and stops at the first labeling that beats it.
+A candidate that loses cannot share an orbit with a sibling finished since
+best last changed (the automorphism would give both the same chunk), so
+ending the loop early drops no credit.  is_canonical runs the same search
+with h's own labeling as the best one and stops at the first labeling that
+beats it.
 """
 
 from __future__ import annotations
@@ -43,7 +52,8 @@ from .hypergraph import Hypergraph
 
 CANONICAL_CAP = 12
 
-_SENTINEL = comb(CANONICAL_CAP + 1, 3) + 1
+# The largest offset C(j, 2) + i of a pair i < j < k in a chunk, k < CANONICAL_CAP.
+_TOP = comb(CANONICAL_CAP - 1, 2) - 1
 
 
 def relabel(h: Hypergraph, perm) -> Hypergraph:
@@ -72,73 +82,47 @@ def _orbits(gens: list[list[int]], n: int) -> list[int]:
 
 
 def _search(h: Hypergraph, seeded: bool = False) -> tuple[list[int], int] | None:
-    """(least rank sequence, |Aut|) of h; see the module docstring.
+    """(least labeling, |Aut|) of h; see the module docstring.
 
-    With seeded=True the search starts from h's own sequence as the bound and
+    The labeling lists, for each new label, the vertex that gets it.  With
+    seeded=True the search starts from h's own labeling as the best one and
     returns None at the first labeling that beats it, so it answers "is h
-    canonical" without building the form; the count it returns then is
-    meaningless.
+    canonical" without finishing the search; the result then is meaningless.
     """
     n, e = h.n, h.edge_count
     if e == comb(n, 3):
         # Complete: every relabeling gives the same edge set.
-        return list(range(e)), factorial(n)
+        return list(range(n)), factorial(n)
 
     thirds = h.thirds()
-    best = list(h.ranks()) if seeded else None
+    best = [0] * n  # per level, the chunk of the best labeling found so far
+    if seeded:
+        for a, b, c in h.edges():
+            best[c] |= 1 << (_TOP - b * (b - 1) // 2 - a)
     best_lab = list(range(n))  # the labeling (label -> vertex) that first reached best
     aut = 0  # tied leaves counted since best last changed
     version = 0  # bumped whenever best changes
     gens: list[list[int]] = []  # automorphisms found so far
     assigned: list[int] = []
-    prefix: list[int] = []
-    no_jump, cut = n, n + 1
+    path: list[int] = []  # the chunks of the assigned labels
+    label_bit = [0] * n  # assigned vertex v -> 1 << (_TOP - label of v)
+    no_jump = n
 
-    def chunk_for(u: int) -> list[int]:
-        # Ranks of new edges created by giving u the next label k = len(assigned);
-        # emitted in increasing rank order.
-        k = len(assigned)
-        base_k = k * (k - 1) * (k - 2) // 6
-        out = []
-        for j in range(1, k):
-            row = thirds[assigned[j]]
-            base = base_k + j * (j - 1) // 2
-            for i in range(j):
-                if row[assigned[i]] >> u & 1:
-                    out.append(base + i)
-        return out
-
-    def descend(remaining: list[int], fixing: list[list[int]]) -> int:
+    def descend(chunks: dict[int, int], placed: int, tied: bool, fixing: list[list[int]]) -> int:
+        # chunks: unassigned vertex -> its chunk as label k, in vertex order.
+        # placed: the number of edges inside the first k labels.
+        # tied: the first k chunks equal best's (else they beat them).
         # fixing: the automorphisms found so far that fix the first k labels.
-        # Returns cut (pruned on entry), no_jump, or the depth of the
-        # ancestor that must take over (-1 ends a seeded search: some
-        # labeling beats h).
+        # Returns no_jump, or the depth of the ancestor that must take over
+        # (-1 ends a seeded search: some labeling beats h).
         nonlocal best, best_lab, aut, version
         k = len(assigned)
-        m = len(prefix)
-        tied = False
-        if best is not None:
-            # best can change anywhere below, so compare fresh at every node.
-            tied = True
-            for i in range(m):
-                if prefix[i] != best[i]:
-                    if prefix[i] > best[i]:
-                        return cut
-                    if seeded:
-                        return -1
-                    tied = False
-                    break
-            if tied and m < e:
-                # best places its next edge inside the first k labels; this
-                # branch cannot, so every completion here compares greater.
-                if best[m] < k * (k - 1) * (k - 2) // 6:
-                    return cut
-        if m == e:
+        if placed == e:
             # The remaining vertices are isolated: all their orders tie here.
-            lab = assigned + remaining
+            lab = assigned + list(chunks)
             if not tied:
-                best, best_lab = prefix.copy(), lab
-                aut = factorial(len(remaining))
+                best, best_lab = path + [0] * (n - k), lab
+                aut = factorial(n - k)
                 version += 1
                 return no_jump
             d = next((i for i in range(k) if lab[i] != best_lab[i]), k)
@@ -152,16 +136,23 @@ def _search(h: Hypergraph, seeded: bool = False) -> tuple[list[int], int] | None
                 g[a] = b
             gens.append(g)
             return d
-        options = []
-        for u in remaining:
-            ch = chunk_for(u)
-            options.append((tuple(ch) + (_SENTINEL,), ch, u))
-        options.sort()
+        known = 0
+        for v in assigned:
+            known |= 1 << v
+        shift = k * (k - 1) // 2
         seen = len(gens)
         orbit: list[int] = []
         orbit_gens = 0
         done: dict[int, tuple[int, int]] = {}  # finished child -> (version, its tied leaves)
-        for _, ch, u in options:
+        for u in sorted(chunks, key=chunks.__getitem__, reverse=True):
+            c = chunks[u]
+            child_tied = tied
+            if tied and c != best[k]:
+                if c < best[k]:
+                    break  # and so does every later candidate
+                if seeded:
+                    return -1
+                child_tied = False
             if fixing:
                 # A finished child in u's orbit has a subtree matching u's.
                 if orbit_gens != len(fixing):
@@ -173,14 +164,26 @@ def _search(h: Hypergraph, seeded: bool = False) -> tuple[list[int], int] | None
                         aut += count
                     continue
             ver0, aut0 = version, aut
+            # Giving u label k adds the pairs (i, k) with {label i, u, v} an
+            # edge to v's chunk.
+            row = thirds[u]
+            child = {}
+            for v, cv in chunks.items():
+                if v != u:
+                    ts = row[v] & known
+                    while ts:
+                        low = ts & -ts
+                        ts ^= low
+                        cv |= label_bit[low.bit_length() - 1] >> shift
+                    child[v] = cv
             assigned.append(u)
-            prefix.extend(ch)
-            j = descend([v for v in remaining if v != u],
+            path.append(c)
+            label_bit[u] = 1 << (_TOP - k)
+            j = descend(child, placed + c.bit_count(), child_tied,
                         fixing and [g for g in fixing if g[u] == u])
-            del prefix[len(prefix) - len(ch):]
+            path.pop()
             assigned.pop()
-            if j == cut:
-                continue
+            tied = True  # best now runs through this node, if it did not already
             if len(gens) > seen:  # those found below u fix the first k labels too
                 fixing = fixing + gens[seen:]
                 seen = len(gens)
@@ -194,17 +197,20 @@ def _search(h: Hypergraph, seeded: bool = False) -> tuple[list[int], int] | None
             done[u] = (version, aut - aut0 if version == ver0 else aut)
         return no_jump
 
-    if descend(list(range(n)), []) < 0:
+    if descend(dict.fromkeys(range(n), 0), 0, seeded, []) < 0:
         return None
-    assert best is not None and len(best) == e
-    return best, aut
+    return best_lab, aut
 
 
 @lru_cache(maxsize=65536)
 def _canonicalize(n: int, bits: int) -> tuple[Hypergraph, int]:
     """(least relabeling, number of relabelings attaining it = |Aut|)."""
-    best, aut = _search(Hypergraph(n, bits))
-    return Hypergraph.from_ranks(n, best), aut
+    h = Hypergraph(n, bits)
+    lab, aut = _search(h)
+    perm = [0] * n
+    for i, v in enumerate(lab):
+        perm[v] = i
+    return relabel(h, perm), aut
 
 
 def canonical_form(h: Hypergraph) -> Hypergraph:

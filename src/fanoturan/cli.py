@@ -13,7 +13,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from . import __version__
 from .errors import CapabilityError, FormatError, ParameterError, VerificationError
@@ -202,6 +201,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if jobs == 1 or len(claims) == 1:
         outcomes = [_verify_worker(p) for p in payloads]
     else:
+        # imported here: the process pool machinery is most of the import
+        # cost of this module, and only parallel runs need it
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=min(jobs, len(claims))) as pool:
             outcomes = list(pool.map(_verify_worker, payloads))
 

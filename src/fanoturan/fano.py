@@ -1,6 +1,7 @@
 """Fano plane containment by three independent detection methods.
 
-The methods share nothing beyond edge-membership lookups, so they
+The methods share nothing beyond edge-membership lookups (``has_edge`` or
+the per-pair third-vertex masks of ``Hypergraph.thirds``), so they
 cross-validate each other:
 
 * ``embedding``       - injective point map built line by line with forward
@@ -183,26 +184,53 @@ def contains_fano_embedding(h: Hypergraph) -> bool:
 def find_fano_crossing(h: Hypergraph) -> tuple[tuple[int, int, int], ...] | None:
     """The seven edges of the first (edge, quad, bijection) in scan order, or None.
 
-    The edge comes first, then for each of its vertices in turn the two
-    triples joining it to the quad matching its link covers.
+    Edges run in colex order, and for each edge {x, y, z} its least quad
+    outside it, in lex order, whose three perfect matchings the links of x,
+    y, z cover bijectively.  The quad is found from its least vertex p up:
+    the partners a, b, c of p in the matchings of x, y, z are distinct
+    vertices above p in the link masks thirds[x][p], thirds[y][p] and
+    thirds[z][p], and the other pairs {b, c}, {a, c}, {a, b} must lie in the
+    links of x, y, z.  The first p with such partners gives the least quad.
+    The first of the six bijections in a fixed order that fits it is
+    reported: the edge comes first, then for each of its vertices in turn
+    the two triples joining it to the quad matching its link covers.
     """
     if h.n < 7:
         return None
-    has = h.has_edge
+    thirds = h.thirds()
     for edge in h.edges():
-        others = [v for v in range(h.n) if v not in edge]
-        for quad in combinations(others, 4):
-            p, q, r, s = quad
+        x, y, z = edge
+        tx, ty, tz = thirds[x], thirds[y], thirds[z]
+        inside = 1 << x | 1 << y | 1 << z
+        for p in range(h.n):
+            if inside >> p & 1:
+                continue
+            above = -(2 << p) & ~inside
+            a_set, b_set, c_set = tx[p] & above, ty[p] & above, tz[p] & above
+            if not (a_set and b_set and c_set):
+                continue
+            quads = []
+            for a in _members(a_set):
+                for b in _members(b_set & tz[a]):
+                    quads.extend(sorted((a, b, c)) for c in _members(c_set & tx[b] & ty[a]))
+            if not quads:
+                continue
+            q, r, s = min(quads)
             matchings = (((p, q), (r, s)), ((p, r), (q, s)), ((p, s), (q, r)))
-            cov = [
-                [all(has(v, u, w) for u, w in m) for m in matchings]
-                for v in edge
-            ]
+            cov = [[all(thirds[v][u] >> w & 1 for u, w in m) for m in matchings] for v in edge]
             for pi in ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)):
                 if cov[0][pi[0]] and cov[1][pi[1]] and cov[2][pi[2]]:
                     lines = [(v, u, w) for v, mi in zip(edge, pi) for u, w in matchings[mi]]
                     return (edge, *(tuple(sorted(t)) for t in lines))
     return None
+
+
+def _members(mask: int):
+    """The set bits of mask, in ascending order."""
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        yield low.bit_length() - 1
 
 
 def contains_fano_crossing(h: Hypergraph) -> bool:

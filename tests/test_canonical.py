@@ -1,9 +1,11 @@
 """Canonical labeling: invariance, separation, automorphism counting."""
 
+import json
 import random
 import time
 from itertools import combinations, permutations
 from math import comb, factorial
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +18,11 @@ from fanoturan.canonical import (
 )
 from fanoturan.errors import CapabilityError, ParameterError
 from fanoturan.hypergraph import Hypergraph, complement, construct, random_hypergraph
+
+# (n, bits) -> (form bits, |Aut|, is_canonical) on the inputs of
+# _pinned_form_inputs(), as [n, bits, form bits, |Aut|, is_canonical] rows
+# with bit sets in hex
+PINNED_FORMS = Path(__file__).resolve().parent / "data" / "canonical_forms_seed3.json"
 
 
 def _shuffled(h, rng):
@@ -223,6 +230,22 @@ def test_balanced_bipartite_automorphisms_within_budget(n):
         assert time.process_time() - start < 1
 
 
+def _circulant12():
+    """The triples {i, i+1, i+2} mod 12: 12 edges, |Aut| = 24."""
+    return Hypergraph.from_edges(12, [tuple(sorted((i, (i + 1) % 12, (i + 2) % 12))) for i in range(12)])
+
+
+def test_dense_input_with_a_small_group_within_budget():
+    # The search's width, not |Aut|, is the cost here: 208 edges and only 24
+    # automorphisms.  About 0.75 s of CPU time; 3.25 s before chunks were
+    # compared in the parent node.
+    g = _shuffled(complement(_circulant12()), random.Random(24))
+    start = time.process_time()
+    assert automorphism_count(g) == 24
+    assert canonical_form(g).edge_count == 208
+    assert time.process_time() - start < 2
+
+
 def test_symmetric_inputs_are_relabel_invariant():
     rng = random.Random(11)
     subjects = [construct("balanced_bipartite", n) for n in range(7, CANONICAL_CAP + 1)]
@@ -249,3 +272,25 @@ def test_is_canonical_agrees_with_the_form():
         for _ in range(3):
             g = _shuffled(f, rng)
             assert is_canonical(g) == (canonical_form(g) == g), g
+
+
+def _pinned_form_inputs():
+    rng = random.Random(3)
+    inputs = [
+        random_hypergraph(6 + i % 4, 0.05 + 0.9 * (i % 50) / 49, rng) for i in range(300)
+    ]
+    named = [construct("balanced_bipartite", n) for n in range(7, CANONICAL_CAP + 1)]
+    named += [construct("j7", 7), construct("fano", 7), construct("pasch", 6)]
+    named += [_circulant12(), complement(_circulant12())]
+    return inputs + named + [_shuffled(h, rng) for h in named]
+
+
+def test_forms_match_the_pinned_forms():
+    pinned = json.loads(PINNED_FORMS.read_text())
+    inputs = _pinned_form_inputs()
+    assert len(pinned) == len(inputs)
+    for h, (n, bits, form, aut, canon) in zip(inputs, pinned):
+        assert (n, int(bits, 16)) == (h.n, h.bits)
+        got = canonical_form(h)
+        assert (got.bits, automorphism_count(h), is_canonical(h)) == (int(form, 16), aut, canon), h
+        assert is_canonical(got) and got.edge_count == h.edge_count, h

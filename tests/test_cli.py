@@ -187,6 +187,14 @@ def test_verify_parallel_jobs_match_serial(capsys):
     assert _strip_elapsed(serial) == _strip_elapsed(parallel)
 
 
+def test_cli_import_leaves_the_process_pool_unloaded():
+    # only `--jobs` above 1 needs it, and every command pays for its import
+    code = "import sys, fanoturan.cli; print('concurrent.futures.process' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
 def test_verify_reports_claims_in_the_order_named(capsys):
     argv = ["verify", "matching-facts", "ex-7", "--format", "json"]
     for jobs in ("1", "2"):

@@ -133,6 +133,36 @@ def test_crossing_witness_is_sound():
         found += 1
 
 
+def _crossing_by_quads(h):
+    """find_fano_crossing as a plain scan: every quad outside every edge, in lex order."""
+    if h.n < 7:
+        return None
+    has = h.has_edge
+    for edge in h.edges():
+        others = [v for v in range(h.n) if v not in edge]
+        for p, q, r, s in combinations(others, 4):
+            matchings = (((p, q), (r, s)), ((p, r), (q, s)), ((p, s), (q, r)))
+            cov = [[all(has(v, u, w) for u, w in m) for m in matchings] for v in edge]
+            for pi in permutations(range(3)):
+                if all(cov[i][pi[i]] for i in range(3)):
+                    lines = [(v, u, w) for v, mi in zip(edge, pi) for u, w in matchings[mi]]
+                    return (edge, *(tuple(sorted(t)) for t in lines))
+    return None
+
+
+def test_crossing_matches_the_plain_quad_scan():
+    # the link-mask scan must report the very copy the plain scan finds first
+    found = 0
+    for n in (7, 8, 9, 10):
+        rng = random.Random(700 + n)
+        for i in range(40):
+            h = random_hypergraph(n, 0.1 + 0.8 * (i % 20) / 19, rng)
+            want = _crossing_by_quads(h)
+            assert find_fano_crossing(h) == want, h
+            found += want is not None
+    assert 40 < found < 140
+
+
 def test_pasch_witness_is_sound():
     rng = random.Random(11)
     found = 0

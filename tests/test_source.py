@@ -16,7 +16,6 @@ ENTRY_POINTS = {
     "contains_fano": "the README example",
     "contains_fano_cover": "perfbench times the cover-based Fano test through it",
     "random_hypergraph": "the tests' seeded input generator",
-    "relabel": "the tests' isomorphism oracle",
     "read_checkpoint": "the README's way to replay a checkpoint file",
 }
 
