@@ -5,7 +5,8 @@ the per-pair third-vertex masks of ``Hypergraph.thirds``), so they
 cross-validate each other:
 
 * ``embedding``       - injective point map built line by line with forward
-                        checking.
+                        checking, trying each edge as the first line in one
+                        ordering only (the plane's symmetry covers the rest).
 * ``crossing_pairs``  - an edge {x, y, z} plus four outside vertices whose
                         three perfect matchings are covered bijectively by
                         the links of x, y, z.
@@ -131,9 +132,10 @@ def find_clique(h: Hypergraph, k: int) -> tuple[int, ...] | None:
 # Method 1: direct embedding.
 # ---------------------------------------------------------------------------
 
-def _link_pairs(h: Hypergraph) -> list[list[tuple[int, int]]]:
-    out: list[list[tuple[int, int]]] = [[] for _ in range(h.n)]
-    for a, b, c in h.edges():
+def _link_pairs(n: int, edges) -> list[list[tuple[int, int]]]:
+    """links[v]: the pairs {x, y}, as x < y, with {v, x, y} among the sorted edges."""
+    out: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for a, b, c in edges:
         out[a].append((b, c))
         out[b].append((a, c))
         out[c].append((a, b))
@@ -147,29 +149,42 @@ def find_fano_embedding(h: Hypergraph) -> tuple[tuple[int, int, int], ...] | Non
     012, 234, 045, 036; the remaining lines 135, 256, 146 become pure
     membership checks, applied as early as their points are available
     (forward checking) by intersecting per-pair third-vertex masks.
+
+    Each edge {a, b, c} (a < b < c) is tried as line 012 in one ordering
+    only, (i0, i1, i2) = (a, b, c), and each link pair {x, y} of i2 (x < y)
+    as (i3, i4) = (x, y) only.  The plane's symmetry makes the other eleven
+    orderings redundant: Aut(Fano) = PGL(3, 2) has order 168 and is
+    2-transitive on points, so it is transitive on the 42 ordered lines and
+    the stabilizer of line 012 acts on it as the full symmetric group.  The
+    168 / 42 = 4 automorphisms fixing line 012 pointwise are the elations
+    with that axis; they act regularly on the points 3, 4, 5, 6 off it, so
+    one of them swaps 3 and 4 and fixes line 234.  Composing an embedding
+    with these moves lands on the one ordering tried, and that ordering is
+    the one the full twelve-way scan tries first, so the first copy found,
+    the witness, is the same.  On Fano-free inputs the search does 1/12 of
+    the full scan's work.
     """
     if h.n < 7 or h.edge_count < 7:
         return None
-    links = _link_pairs(h)
+    edges = h.edges()
+    links = _link_pairs(h.n, edges)
     thirds = h.thirds()
-    for a, b, c in h.edges():
-        for i0, i1, i2 in permutations((a, b, c)):
-            for x, y in links[i2]:
-                if x in (i0, i1) or y in (i0, i1):
-                    continue
-                for i3, i4 in ((x, y), (y, x)):
-                    used = 1 << i0 | 1 << i1 | 1 << i2 | 1 << i3 | 1 << i4
-                    fives = thirds[i0][i4] & thirds[i1][i3] & ~used
-                    while fives:  # ascending i5, as in colex order
-                        low = fives & -fives
-                        fives ^= low
-                        i5 = low.bit_length() - 1
-                        sixes = thirds[i0][i3] & thirds[i2][i5] & thirds[i1][i4] & ~(used | low)
-                        if sixes:
-                            i6 = (sixes & -sixes).bit_length() - 1
-                            img = (i0, i1, i2, i3, i4, i5, i6)
-                            lines = [(img[u], img[v], img[w]) for u, v, w in FANO_LINES]
-                            return tuple(tuple(sorted(t)) for t in lines)
+    for i0, i1, i2 in edges:
+        for i3, i4 in links[i2]:
+            if i3 in (i0, i1) or i4 in (i0, i1):
+                continue
+            used = 1 << i0 | 1 << i1 | 1 << i2 | 1 << i3 | 1 << i4
+            fives = thirds[i0][i4] & thirds[i1][i3] & ~used
+            while fives:  # ascending i5, as in colex order
+                low = fives & -fives
+                fives ^= low
+                i5 = low.bit_length() - 1
+                sixes = thirds[i0][i3] & thirds[i2][i5] & thirds[i1][i4] & ~(used | low)
+                if sixes:
+                    i6 = (sixes & -sixes).bit_length() - 1
+                    img = (i0, i1, i2, i3, i4, i5, i6)
+                    lines = [(img[u], img[v], img[w]) for u, v, w in FANO_LINES]
+                    return tuple(tuple(sorted(t)) for t in lines)
     return None
 
 
@@ -252,7 +267,7 @@ def find_fano_pasch(h: Hypergraph) -> tuple[tuple[int, int, int], ...] | None:
     if h.n < 7:
         return None
     has = h.has_edge
-    links = _link_pairs(h)
+    links = _link_pairs(h.n, h.edges())
     for v in range(h.n):
         pairs = links[v]
         ln = len(pairs)

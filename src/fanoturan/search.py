@@ -16,6 +16,14 @@ C(#triples, size).  Both engines, and the apex link scans, read plane images
 only through fano.cover_table.  Survivors are the complements themselves, as
 Hypergraphs; hypergraph.complement turns them back into the primal ones.
 
+The apex link scans (lemma-2-3, fact-2-4, matching-facts) range over all
+2^15 graphs on six vertices, the links of a seventh.  They decide them all
+at once on link bitsets, ints of 2^15 bits with bit m standing for link mask
+m: per pair the links containing it, per size k the links with at least k
+pairs, and per plane image the links whose non-link apex triples hit it.  A
+verdict is then a few ANDs and ORs, and a failure is reported at the lowest
+set bit, with the count an ascending scan of the masks would have visited.
+
 Claim verifiers build their certificates through a ClaimRun: they return
 run.passed(...), which checks visited == space, and end any counterexample
 with run.fail(...), which raises VerificationError carrying the failing
@@ -37,6 +45,7 @@ from .canonical import automorphism_count, canonical_form, is_canonical
 from .certificate import Certificate, CheckpointWriter, ClaimRun
 from .errors import CapabilityError, ParameterError
 from .fano import (
+    _members,
     contains_fano_crossing,
     contains_fano_embedding,
     contains_fano_pasch,
@@ -391,19 +400,44 @@ _SIX_PAIRS = tuple(combinations(range(6), 2))
 _APEX_RANKS = tuple(triple_rank(u, w, 6) for u, w in _SIX_PAIRS)
 
 
-def _apex_nonlink_covers() -> memoryview:
-    """Per link mask, the images hit by the apex triples {u, w, 6} with uw outside the link.
+def _pair_sets() -> list[int]:
+    """Per pair i of _SIX_PAIRS, the link bitset of the masks containing it.
 
-    Filled from the full link down, one OR per link: the entry for m extends
-    the entry for m plus its lowest missing pair by that pair's apex triple.
+    A link bitset is one int of 2^15 bits, bit m standing for the link mask
+    m; the bitsets are built when a verifier runs, not at import.  Bit m of
+    entry i is m >> i & 1: a block of 2^i clear bits and 2^i set bits,
+    repeated by doubling up to 2^15 bits.
     """
-    masks = cover_table(7).masks
-    apex = {1 << i: masks[r] for i, r in enumerate(_APEX_RANKS)}
-    size = 1 << len(_APEX_RANKS)
-    out = memoryview(bytearray(4 * size)).cast("I")  # 30 images fit in 32 unsigned bits
-    for m in range(size - 2, -1, -1):
-        low = ~m & (m + 1)
-        out[m] = out[m | low] | apex[low]
+    out = []
+    for i in range(15):
+        block, width = ((1 << (1 << i)) - 1) << (1 << i), 2 << i
+        while width < 1 << 15:
+            block |= block << width
+            width <<= 1
+        out.append(block)
+    return out
+
+
+def _size_sets(pair_sets: list[int]) -> list[int]:
+    """ge[k]: the link bitset of the masks with at least k pairs, for k = 0..15."""
+    ge = [(1 << (1 << 15)) - 1] + [0] * 15
+    for i, ps in enumerate(pair_sets):
+        for k in range(i + 1, 0, -1):
+            ge[k] |= ge[k - 1] & ps
+    return ge
+
+
+def _image_link_sets(table, pair_sets: list[int]) -> list[int]:
+    """Per plane image on 7 vertices, the links whose non-link apex triples hit it.
+
+    Entry j is the OR of the complements of pair_sets[i] over the pairs i
+    whose apex triple {u, w, 6} lies in image j of the table.
+    """
+    every = (1 << (1 << 15)) - 1
+    out = [0] * table.full.bit_length()
+    for ps, r in zip(pair_sets, _APEX_RANKS):
+        for j in _members(table.masks[r]):
+            out[j] |= every ^ ps
     return out
 
 
@@ -422,10 +456,12 @@ def verify_lemma_2_3(*, seed: int = 0) -> Certificate:
     Fano-free and the link has at least LEMMA_2_3_MIN_LINK_DEGREE edges, the
     base must be the complete balanced bipartite hypergraph on 3+3 vertices.
     Links below the degree threshold fail the hypothesis and are accounted in
-    bulk.
+    bulk.  Each base decides all its links at once on link bitsets: the
+    Fano-free links are the AND of the image link sets over the plane images
+    its missing triples leave unhit, and the states are counted in the order
+    of a scan over ascending link masks.
     """
     table = cover_table(7)
-    full = table.full
     comp_choices = (
         [()]
         + [(i,) for i in range(20)]
@@ -433,37 +469,37 @@ def verify_lemma_2_3(*, seed: int = 0) -> Certificate:
     )
     space = len(comp_choices) * (1 << 15)
     run = ClaimRun("lemma-2-3", space, seed)
-    min_degree = LEMMA_2_3_MIN_LINK_DEGREE
-    link_masks = [m for m in range(1 << 15) if m.bit_count() >= min_degree]
-    nonlink_cover = _apex_nonlink_covers()
-    bulk = ((1 << 15) - len(link_masks)) * len(comp_choices)
+    pair_sets = _pair_sets()
+    dense_links = _size_sets(pair_sets)[LEMMA_2_3_MIN_LINK_DEGREE]
+    image_links = _image_link_sets(table, pair_sets)
+    per_base = dense_links.bit_count()
 
-    visited = bulk
+    visited = ((1 << 15) - per_base) * len(comp_choices)
     fano_free_seen = 0
     for comp in comp_choices:
+        free = dense_links
         base_cov = table.cover(triple_rank(*_SIX_TRIPLES[i]) for i in comp)
-        base6 = complement(Hypergraph.from_edges(6, [_SIX_TRIPLES[i] for i in comp]))
-        base_is_b6 = recognize_balanced_bipartite(base6) is not None
-        for m in link_masks:
-            visited += 1
-            if base_cov | nonlink_cover[m] != full:
-                continue  # the hypergraph contains a plane copy
-            fano_free_seen += 1
-            if not base_is_b6:
-                h = _apex_hypergraph(comp, m)
+        for j in _members(table.full & ~base_cov):
+            free &= image_links[j]
+        fano_free_seen += free.bit_count()
+        if free:
+            base6 = complement(Hypergraph.from_edges(6, [_SIX_TRIPLES[i] for i in comp]))
+            if recognize_balanced_bipartite(base6) is None:
+                m = next(_members(free))
                 run.fail(
-                    visited,
+                    visited + (dense_links & ((2 << m) - 1)).bit_count(),
                     {
-                        "hypergraph": to_json_dict(h),
+                        "hypergraph": to_json_dict(_apex_hypergraph(comp, m)),
                         "link_degree": m.bit_count(),
                         "missing_base_triples": [list(_SIX_TRIPLES[i]) for i in comp],
                     },
                     "Fano-free dense state with non-bipartite base",
                 )
+        visited += per_base
     if fano_free_seen == 0:
         run.fail(visited, {"fano_free_states": 0}, "scan was vacuous")
     return run.passed(visited, [{"fano_free_states": fano_free_seen,
-                                 "links_at_or_above_degree": len(link_masks)}])
+                                 "links_at_or_above_degree": per_base}])
 
 
 def _six_degrees(link_mask: int) -> list[int]:
@@ -479,29 +515,31 @@ def _six_degrees(link_mask: int) -> list[int]:
 def verify_fact_2_4(*, seed: int = 0) -> Certificate:
     """Over a complete 6-set, a Fano-free apex link has at most 10 edges.
 
-    Scans all 2^15 links, pins the maximum at 10, checks all six extremal
-    links are a complete graph on five of the six base vertices, and closes
-    the arithmetic: 20 + 10 + 10 + 6 = 46 < 48 rules out two such apexes
-    reaching the balanced bipartite count on 8 vertices.  One boundary case
-    per side is re-verified with the embedding detector.
+    Decides all 2^15 links at once on link bitsets: the Fano-free links are
+    the AND of the image link sets over every plane image, and the best link
+    size is the largest k whose size class meets them.  Pins the maximum at
+    10, checks all six extremal links are a complete graph on five of the six
+    base vertices, and closes the arithmetic: 20 + 10 + 10 + 6 = 46 < 48
+    rules out two such apexes reaching the balanced bipartite count on 8
+    vertices.  One boundary case per side is re-verified with the embedding
+    detector.
     """
-    full = cover_table(7).full
+    table = cover_table(7)
     space = 1 << 15
     run = ClaimRun("fact-2-4", space, seed)
-    nonlink_cover = _apex_nonlink_covers()
-    visited = 0
-    best = -1
-    argmax: list[int] = []
-    for m in range(1 << 15):
-        visited += 1
-        if nonlink_cover[m] == full:
-            sz = m.bit_count()
-            if sz > best:
-                best, argmax = sz, [m]
-            elif sz == best:
-                argmax.append(m)
-    if best != 10 or len(argmax) != 6:
-        run.fail(visited, {"max_link": best, "extremals": len(argmax)}, "unexpected link maximum")
+    pair_sets = _pair_sets()
+    ge = _size_sets(pair_sets)
+    image_links = _image_link_sets(table, pair_sets)
+    free = ge[0]
+    for j in _members(table.full):
+        free &= image_links[j]
+    visited = space
+    best = max((k for k in range(16) if free & ge[k]), default=-1)
+    extremal = free & ge[best] if best >= 0 else 0
+    if best != 10 or extremal.bit_count() != 6:
+        run.fail(visited, {"max_link": best, "extremals": extremal.bit_count()},
+                 "unexpected link maximum")
+    argmax = list(_members(extremal))
     for m in argmax:
         degs = _six_degrees(m)
         if degs != [0, 4, 4, 4, 4, 4]:
@@ -547,30 +585,36 @@ def verify_matching_facts(*, seed: int = 0) -> Certificate:
 
     The complete graph has exactly 15 perfect matchings; every graph with 11
     or more edges contains one; exactly six 10-edge graphs contain none and
-    each is a complete graph on five vertices plus an isolated vertex.
+    each is a complete graph on five vertices plus an isolated vertex.  All
+    2^15 graphs are decided at once on link bitsets: the graphs with a
+    perfect matching are the OR over the matchings of the AND of their three
+    pair sets, and a failure is reported at the graph an ascending scan
+    would stop at.
     """
     space = 1 << 15
     run = ClaimRun("matching-facts", space, seed)
     pms = _perfect_matchings6()
     if len(pms) != 15 or len(set(pms)) != 15:
         run.fail(0, {"matchings": len(pms)}, "wrong perfect matching count in the complete graph")
-    visited = 0
-    pm_free_10: list[int] = []
-    for m in range(1 << 15):
-        visited += 1
-        has_pm = any(pm & m == pm for pm in pms)
-        if has_pm:
-            continue
-        sz = m.bit_count()
-        if sz >= 11:
-            run.fail(visited, {"edges": [list(_SIX_PAIRS[i]) for i in range(15) if m >> i & 1]},
-                     "an 11-edge graph without a perfect matching")
-        if sz == 10:
-            pm_free_10.append(m)
-    if len(pm_free_10) != 6:
-        run.fail(visited, {"ten_edge_pm_free": len(pm_free_10)},
+    pair_sets = _pair_sets()
+    ge = _size_sets(pair_sets)
+    has_pm = 0
+    for pm in pms:
+        containing = ge[0]
+        for i in _members(pm):
+            containing &= pair_sets[i]
+        has_pm |= containing
+    pm_free = ge[0] ^ has_pm
+    if pm_free & ge[11]:
+        m = next(_members(pm_free & ge[11]))
+        run.fail(m + 1, {"edges": [list(_SIX_PAIRS[i]) for i in range(15) if m >> i & 1]},
+                 "an 11-edge graph without a perfect matching")
+    visited = space
+    pm_free_10 = pm_free & ge[10]
+    if pm_free_10.bit_count() != 6:
+        run.fail(visited, {"ten_edge_pm_free": pm_free_10.bit_count()},
                  "unexpected count of matching-free 10-edge graphs")
-    for m in pm_free_10:
+    for m in _members(pm_free_10):
         degs = _six_degrees(m)
         if degs != [0, 4, 4, 4, 4, 4]:
             run.fail(visited, {"degrees": degs},

@@ -2,12 +2,14 @@
 
 import json
 import random
+import time
 from itertools import combinations, permutations
 from math import comb
 from pathlib import Path
 
 import pytest
 
+from fanoturan import search
 from fanoturan.canonical import canonical_form
 from fanoturan.errors import CapabilityError, ParameterError
 from fanoturan.fano import (
@@ -25,7 +27,14 @@ from fanoturan.fano import (
     find_fano_embedding,
     find_fano_pasch,
 )
-from fanoturan.hypergraph import FANO_LINES, Hypergraph, construct, random_hypergraph, triple_rank
+from fanoturan.hypergraph import (
+    FANO_LINES,
+    Hypergraph,
+    complement,
+    construct,
+    random_hypergraph,
+    triple_rank,
+)
 
 
 FANO = construct("fano", 7)
@@ -119,6 +128,69 @@ def test_embedding_witness_is_sound():
             continue
         _assert_valid_witness(h, edges)
         found += 1
+
+
+def _embedding_all_orderings(h):
+    """find_fano_embedding without the symmetry cut: each edge as line 012 in
+    all six orderings, each link pair of i2 in both orders."""
+    if h.n < 7 or h.edge_count < 7:
+        return None
+    links = [[] for _ in range(h.n)]
+    for a, b, c in h.edges():
+        links[a].append((b, c))
+        links[b].append((a, c))
+        links[c].append((a, b))
+    thirds = h.thirds()
+    for edge in h.edges():
+        for i0, i1, i2 in permutations(edge):
+            for x, y in links[i2]:
+                if x in (i0, i1) or y in (i0, i1):
+                    continue
+                for i3, i4 in ((x, y), (y, x)):
+                    used = 1 << i0 | 1 << i1 | 1 << i2 | 1 << i3 | 1 << i4
+                    for i5 in range(h.n):
+                        if not (thirds[i0][i4] & thirds[i1][i3] & ~used) >> i5 & 1:
+                            continue
+                        sixes = thirds[i0][i3] & thirds[i2][i5] & thirds[i1][i4] & ~(used | 1 << i5)
+                        if sixes:
+                            i6 = (sixes & -sixes).bit_length() - 1
+                            img = (i0, i1, i2, i3, i4, i5, i6)
+                            lines = [(img[u], img[v], img[w]) for u, v, w in FANO_LINES]
+                            return tuple(tuple(sorted(t)) for t in lines)
+    return None
+
+
+def _lemma_n7_primals():
+    """The 56 labeled 30-edge Fano-free hypergraphs on 7 vertices."""
+    return [complement(comp) for comp in search._raw_survivors(7, 5).survivors]
+
+
+def _fano_free_named():
+    named = [construct("balanced_bipartite", n) for n in range(7, 13)]
+    return _lemma_n7_primals() + named + [construct("j7", 7)]
+
+
+def test_embedding_matches_the_twelve_way_scan():
+    # one ordering per edge and per link pair must report the very copy
+    # the scan over all twelve orderings finds first
+    inputs = _fano_free_named()
+    for n in range(7, 13):
+        rng = random.Random(900 + n)
+        inputs += [random_hypergraph(n, 0.05 + 0.9 * (i % 15) / 14, rng) for i in range(30)]
+    found = 0
+    for h in inputs:
+        want = _embedding_all_orderings(h)
+        assert find_fano_embedding(h) == want, h
+        found += want is not None
+    assert 0 < found < len(inputs) - 63  # random inputs of both kinds
+
+
+def test_embedding_cpu_budget_on_fano_free_inputs():
+    inputs = _fano_free_named()
+    assert len(inputs) == 63
+    t0 = time.process_time()
+    assert not any(contains_fano_embedding(h) for h in inputs)
+    assert time.process_time() - t0 < 0.1
 
 
 def test_crossing_witness_is_sound():

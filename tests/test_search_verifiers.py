@@ -345,13 +345,84 @@ def test_lemma_2_3_mutant_finds_a_sparse_counterexample(monkeypatch):
     assert sum(h.has_edge(u, w, 6) for u, w in combinations(range(6), 2)) == 10
 
 
-def test_apex_nonlink_covers_match_the_cover_table():
+def _bits(bitset):
+    """A link bitset as a string whose m-th character is bit m."""
+    return format(bitset, f"0{1 << 15}b")[::-1]
+
+
+def test_image_link_sets_match_the_cover_table():
     table = cover_table(7)
-    covers = search._apex_nonlink_covers()
-    assert len(covers) == 1 << 15
+    pair_sets = search._pair_sets()
+    for i, ps in enumerate(pair_sets):
+        assert _bits(ps) == "".join(str(m >> i & 1) for m in range(1 << 15)), i
+    ge = search._size_sets(pair_sets)
+    assert len(ge) == 16
+    for k in range(16):
+        assert ge[k].bit_count() == sum(comb(15, j) for j in range(k, 16))
+    images = [_bits(s) for s in search._image_link_sets(table, pair_sets)]
+    assert len(images) == 30
     for m in range(1 << 15):
         outside = [search._APEX_RANKS[i] for i in range(15) if not m >> i & 1]
-        assert covers[m] == table.cover(outside), m
+        got = sum(1 << j for j, bits in enumerate(images) if bits[m] == "1")
+        assert got == table.cover(outside), m
+
+
+def _fact_2_4_scan(table):
+    """fact-2-4's link maximum as a plain scan: the best size and its link count."""
+    best, count = -1, 0
+    for m in range(1 << 15):
+        outside = [search._APEX_RANKS[i] for i in range(15) if not m >> i & 1]
+        if table.cover(outside) == table.full:
+            sz = m.bit_count()
+            if sz > best:
+                best, count = sz, 0
+            count += sz == best
+    return best, count
+
+
+def test_fact_2_4_fails_when_an_apex_triple_hits_every_image(monkeypatch):
+    # every link without pair 0 is then "Fano-free"; dropping one image
+    # instead would be a weak mutant: each of the 30 leaves the maximum at 10
+    real = cover_table(7)
+    apex = search._APEX_RANKS[0]
+    masks = real.masks[:apex] + (real.full,) + real.masks[apex + 1:]
+    table = CoverTable(masks, real.full, real.full.bit_count())
+    best, count = _fact_2_4_scan(table)
+    assert (best, count) == (14, 1)
+    monkeypatch.setattr(search, "cover_table", lambda n: table)
+    with pytest.raises(VerificationError) as info:
+        verify_fact_2_4(seed=4)
+    cert = info.value.certificate
+    assert str(info.value) == "unexpected link maximum"
+    assert (cert.claim, cert.verdict, cert.space, cert.visited) == (
+        "fact-2-4", "fail", 1 << 15, 1 << 15,
+    )
+    assert cert.witnesses == [{"max_link": best, "extremals": count}]
+
+
+def _matching_scan(pms):
+    """matching-facts' first 11-edge graph without a matching, as a plain scan:
+    the number of graphs visited up to it and its edges."""
+    for m in range(1 << 15):
+        if m.bit_count() >= 11 and not any(pm & m == pm for pm in pms):
+            return m + 1, [list(search._SIX_PAIRS[i]) for i in range(15) if m >> i & 1]
+    return None
+
+
+def test_matching_facts_fail_without_pair_zero_matchings(monkeypatch):
+    # fifteen distinct triples of pairs, all through pair 0: every graph
+    # without pair 0 then has no "matching"
+    pms = [1 | 1 << a | 1 << b for a, b in list(combinations(range(1, 15), 2))[:15]]
+    visited, edges = _matching_scan(pms)
+    monkeypatch.setattr(search, "_perfect_matchings6", lambda: pms)
+    with pytest.raises(VerificationError) as info:
+        verify_matching_facts(seed=4)
+    cert = info.value.certificate
+    assert str(info.value) == "an 11-edge graph without a perfect matching"
+    assert (cert.claim, cert.verdict, cert.space, cert.visited) == (
+        "matching-facts", "fail", 1 << 15, visited,
+    )
+    assert cert.witnesses == [{"edges": edges}]
 
 
 def test_fact_2_4_certificate():
