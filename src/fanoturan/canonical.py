@@ -15,15 +15,40 @@ by one chunk per label: the edges {i, j, k}, i < j < k, that label k closes.
 A chunk is kept as one int with pair (i, j) at bit _TOP - C(j, 2) - i, so of
 two chunks at the same level the larger int is the lexicographically smaller
 rank sequence (a chunk that extends another is the smaller one: its extra
-edge ranks below every edge of a later level).  Each node holds the chunk
-every unassigned vertex would get from the next label, and extends it for a
-child by one row of pairs (i, k), read from a third-vertex mask.  A node on
-the best labeling's path compares each candidate's chunk with the best one
-at that level before descending: candidates run in decreasing chunk order,
-so the first one that loses ends the loop, and one that wins starts a
-strictly smaller labeling.  Once all edges are placed the unassigned
+edge ranks below every edge of a later level).
+
+A node at level k holds the unassigned vertices as an ordered partition
+into cells: (chunk, vertex mask) pairs, one per distinct chunk the next
+label would close, in decreasing chunk order.  Giving u label k adds pair (i, k) to the
+chunk of every vertex in the mask thirds[u][label i], so the child's cells
+are this node's cells split by those k masks, with no vertex -> label map.
+Pair (i, k) sits at offset C(k, 2) + i, above every older offset C(j, 2) + i'
+(j < k), so its bit lies below every bit of an older chunk: splitting keeps
+the cells of different chunks in order, and taking the part inside each
+mask before the part outside, for i = 0, 1, ..., lists the parts of one
+cell in decreasing order.  A node on the best labeling's path compares the
+first cell's chunk with the best one at that level: if it loses, so does
+every candidate, and if it wins it starts a strictly smaller labeling.  Only
+the first cell's vertices are candidates, in ascending order: once the first
+child has returned, best runs through this node with that chunk, which every
+later cell's chunk is below.  Once all edges are placed the unassigned
 vertices are isolated, so each of their len(remaining)! orders completes to
 the same sequence and is counted in one step.
+
+Before it builds a child that ties best so far, the node looks ahead.  By
+the bit order above, the child's largest chunk is the first other cell's
+chunk extended by the lexicographically largest row of pairs (i, k) its
+vertices can get, and narrowing the cell greedily by the masks for
+i = 0, 1, ..., k - 1 finds it.  If that is already below best's chunk at
+level k + 1, the child would lose at its first candidate: it is skipped,
+and finished with no tied leaves, exactly as its search would end.  (A
+child that has placed every edge is never skipped: its chunks are 0, and
+so is best's at that level.)  If the child ties and its first cell is one
+vertex, that vertex is its only candidate, and the node runs the child's
+lookahead for it as well.  The child's second cell is what is left of the
+first other cell, narrowed in the same way, or if nothing is left, the
+next cell, narrowed; it is narrowed again by the masks of label k + 1 and
+compared with best's chunk at level k + 2.
 
 Every other leaf that ties the best one yields an automorphism: send the
 vertex the best leaf labels i to the vertex this leaf labels i.  It fixes
@@ -35,11 +60,11 @@ that fix the assigned labels, has an isomorphic subtree and is skipped.
 Either way the skipped subtree is credited with the tied leaves counted in
 its finished image, and only while best has not changed since, which keeps
 |Aut| exact (McKay and Piperno, "Practical Graph Isomorphism II", 2014).
-A candidate that loses cannot share an orbit with a sibling finished since
-best last changed (the automorphism would give both the same chunk), so
-ending the loop early drops no credit.  is_canonical runs the same search
-with h's own labeling as the best one and stops at the first labeling that
-beats it.
+A vertex outside the first cell cannot share an orbit with one inside it
+(the automorphism would give both the same chunk), so leaving it out drops
+no credit, and a child skipped by the lookahead adds no automorphism and no
+credit.  is_canonical runs the same search with h's own labeling as the
+best one and stops at the first labeling that beats it.
 """
 
 from __future__ import annotations
@@ -105,11 +130,11 @@ def _search(h: Hypergraph, seeded: bool = False) -> tuple[list[int], int] | None
     gens: list[list[int]] = []  # automorphisms found so far
     assigned: list[int] = []
     path: list[int] = []  # the chunks of the assigned labels
-    label_bit = [0] * n  # assigned vertex v -> 1 << (_TOP - label of v)
     no_jump = n
 
-    def descend(chunks: dict[int, int], placed: int, tied: bool, fixing: list[list[int]]) -> int:
-        # chunks: unassigned vertex -> its chunk as label k, in vertex order.
+    def descend(cells: list[tuple[int, int]], placed: int, tied: bool, fixing: list[list[int]]) -> int:
+        # cells: (chunk as label k, mask of the unassigned vertices with that
+        # chunk), in decreasing chunk order.
         # placed: the number of edges inside the first k labels.
         # tied: the first k chunks equal best's (else they beat them).
         # fixing: the automorphisms found so far that fix the first k labels.
@@ -119,7 +144,8 @@ def _search(h: Hypergraph, seeded: bool = False) -> tuple[list[int], int] | None
         k = len(assigned)
         if placed == e:
             # The remaining vertices are isolated: all their orders tie here.
-            lab = assigned + list(chunks)
+            rest = cells[0][1] if cells else 0
+            lab = assigned + [v for v in range(n) if rest >> v & 1]
             if not tied:
                 best, best_lab = path + [0] * (n - k), lab
                 aut = factorial(n - k)
@@ -136,24 +162,30 @@ def _search(h: Hypergraph, seeded: bool = False) -> tuple[list[int], int] | None
                 g[a] = b
             gens.append(g)
             return d
-        known = 0
-        for v in assigned:
-            known |= 1 << v
-        shift = k * (k - 1) // 2
+        # Only the first cell's vertices are candidates: every later one has a
+        # smaller chunk than best[k] once the first child has returned.
+        c, cell = cells[0]
+        if tied and c != best[k]:
+            if c < best[k]:
+                return no_jump  # and so does every candidate
+            if seeded:
+                return -1
+            tied = False
+        # The bit of pair (0, k); a child of the last label has no cells, and
+        # at k = 11 the shift would be negative.
+        last = k + 1 == n
+        top = 0 if last else 1 << (_TOP - k * (k - 1) // 2)
+        total = placed + c.bit_count()
         seen = len(gens)
         orbit: list[int] = []
         orbit_gens = 0
         done: dict[int, tuple[int, int]] = {}  # finished child -> (version, its tied leaves)
-        for u in sorted(chunks, key=chunks.__getitem__, reverse=True):
-            c = chunks[u]
-            child_tied = tied
-            if tied and c != best[k]:
-                if c < best[k]:
-                    break  # and so does every later candidate
-                if seeded:
-                    return -1
-                child_tied = False
-            if fixing:
+        todo = cell
+        while todo:
+            low = todo & -todo
+            todo ^= low
+            u = low.bit_length() - 1
+            if fixing and done:
                 # A finished child in u's orbit has a subtree matching u's.
                 if orbit_gens != len(fixing):
                     orbit, orbit_gens = _orbits(fixing, n), len(fixing)
@@ -163,24 +195,71 @@ def _search(h: Hypergraph, seeded: bool = False) -> tuple[list[int], int] | None
                     if ver == version:
                         aut += count
                     continue
-            ver0, aut0 = version, aut
-            # Giving u label k adds the pairs (i, k) with {label i, u, v} an
-            # edge to v's chunk.
+            # Giving u label k adds pair (i, k) to the chunk of each vertex in
+            # thirds[u][label i].
             row = thirds[u]
-            child = {}
-            for v, cv in chunks.items():
-                if v != u:
-                    ts = row[v] & known
-                    while ts:
-                        low = ts & -ts
-                        ts ^= low
-                        cv |= label_bit[low.bit_length() - 1] >> shift
-                    child[v] = cv
+            splits = [(row[v], top >> i) for i, v in enumerate(assigned)]
+            if tied and not last:
+                # The child's first cell: the first other cell, narrowed by
+                # the splits.  If its chunk is below best[k + 1] the child
+                # loses at its first candidate.
+                first = 1 if cell == low else 0
+                fc, fm = cells[first]
+                lc, lm = fc, fm & ~low
+                for t, b in splits:
+                    hit = lm & t
+                    if hit:
+                        lm = hit
+                        lc |= b
+                if lc < best[k + 1]:
+                    done[u] = (version, 0)
+                    continue
+                if lc == best[k + 1] and not lm & (lm - 1) and k + 2 < n and total != e:
+                    # That cell is one vertex, the child's only candidate, so
+                    # run its lookahead too: the child's second cell (the rest
+                    # of the first other cell, else the next cell), narrowed
+                    # by the splits and then by the masks of label k + 1.
+                    sc, sm = fc, fm & ~(low | lm)
+                    if not sm:
+                        sc, sm = cells[first + 1]
+                    for t, b in splits:
+                        hit = sm & t
+                        if hit:
+                            sm = hit
+                            sc |= b
+                    row2 = thirds[lm.bit_length() - 1]
+                    top2 = 1 << (_TOP - (k + 1) * k // 2)
+                    for i, v in enumerate(assigned + [u]):
+                        hit = sm & row2[v]
+                        if hit:
+                            sm = hit
+                            sc |= top2 >> i
+                    if sc < best[k + 2]:
+                        done[u] = (version, 0)
+                        continue
+            child = []
+            for cv, m in cells:
+                m &= ~low
+                if not m:
+                    continue
+                parts = [(cv, m)]
+                for t, b in splits:
+                    if t & m:
+                        nxt = []
+                        for pc, pm in parts:
+                            hit = pm & t
+                            if hit:
+                                nxt.append((pc | b, hit))
+                                if hit != pm:
+                                    nxt.append((pc, pm ^ hit))
+                            else:
+                                nxt.append((pc, pm))
+                        parts = nxt
+                child += parts
+            ver0, aut0 = version, aut
             assigned.append(u)
             path.append(c)
-            label_bit[u] = 1 << (_TOP - k)
-            j = descend(child, placed + c.bit_count(), child_tied,
-                        fixing and [g for g in fixing if g[u] == u])
+            j = descend(child, total, tied, fixing and [g for g in fixing if g[u] == u])
             path.pop()
             assigned.pop()
             tied = True  # best now runs through this node, if it did not already
@@ -197,7 +276,7 @@ def _search(h: Hypergraph, seeded: bool = False) -> tuple[list[int], int] | None
             done[u] = (version, aut - aut0 if version == ver0 else aut)
         return no_jump
 
-    if descend(dict.fromkeys(range(n), 0), 0, seeded, []) < 0:
+    if descend([(0, (1 << n) - 1)], 0, seeded, []) < 0:
         return None
     return best_lab, aut
 

@@ -1,8 +1,8 @@
 """Fano plane containment by three independent detection methods.
 
-The methods share nothing beyond edge-membership lookups (``has_edge`` or
-the per-pair third-vertex masks of ``Hypergraph.thirds``), so they
-cross-validate each other:
+The methods share nothing beyond edge membership, read from the per-pair
+third-vertex masks of ``Hypergraph.thirds``, so they cross-validate each
+other:
 
 * ``embedding``       - injective point map built line by line with forward
                         checking, trying each edge as the first line in one
@@ -262,12 +262,17 @@ def find_fano_pasch(h: Hypergraph) -> tuple[tuple[int, int, int], ...] | None:
     With the matching written (a1 a2, b1 b2, c1 c2), the even class is the
     four transversals picking an even number of second elements and the odd
     class its complement; either class plus the three link edges through v
-    closes a plane copy.  The link edges come first, then the class.
+    closes a plane copy.  The link edges come first, then the class.  For
+    each disjoint (a1 a2, b1 b2) the masks x = thirds[a1][b1] & thirds[a2][b2]
+    and y = thirds[a1][b2] & thirds[a2][b1], outside the four, hold the c1
+    and c2 that can close it: the even class needs c1 in x and c2 in y, the
+    odd one c1 in y and c2 in x, so the pair is dropped unless both are
+    nonempty.
     """
     if h.n < 7:
         return None
-    has = h.has_edge
     links = _link_pairs(h.n, h.edges())
+    thirds = h.thirds()
     for v in range(h.n):
         pairs = links[v]
         ln = len(pairs)
@@ -275,23 +280,23 @@ def find_fano_pasch(h: Hypergraph) -> tuple[tuple[int, int, int], ...] | None:
             continue
         for i in range(ln):
             a1, a2 = pairs[i]
+            ta1, ta2 = thirds[a1], thirds[a2]
             for j in range(i + 1, ln):
                 b1, b2 = pairs[j]
                 if b1 in (a1, a2) or b2 in (a1, a2):
                     continue
+                # The third vertices that close a1 b1 and a2 b2, and a1 b2 and
+                # a2 b1, outside the four.
+                outside = ~(1 << a1 | 1 << a2 | 1 << b1 | 1 << b2)
+                x = ta1[b1] & ta2[b2] & outside
+                y = ta1[b2] & ta2[b1] & outside
+                if not (x and y):
+                    continue
                 for k in range(j + 1, ln):
                     c1, c2 = pairs[k]
-                    if c1 in (a1, a2, b1, b2) or c2 in (a1, a2, b1, b2):
-                        continue
-                    if (
-                        has(a1, b1, c1) and has(a1, b2, c2)
-                        and has(a2, b1, c2) and has(a2, b2, c1)
-                    ):
+                    if x >> c1 & 1 and y >> c2 & 1:
                         quads = ((a1, b1, c1), (a1, b2, c2), (a2, b1, c2), (a2, b2, c1))
-                    elif (
-                        has(a2, b2, c2) and has(a2, b1, c1)
-                        and has(a1, b2, c1) and has(a1, b1, c2)
-                    ):
+                    elif y >> c1 & 1 and x >> c2 & 1:
                         quads = ((a2, b2, c2), (a2, b1, c1), (a1, b2, c1), (a1, b1, c2))
                     else:
                         continue

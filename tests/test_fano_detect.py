@@ -247,6 +247,45 @@ def test_pasch_witness_is_sound():
         found += 1
 
 
+def _pasch_by_membership(h):
+    """find_fano_pasch as a plain scan: every link matching, both classes by has_edge."""
+    if h.n < 7:
+        return None
+    has = h.has_edge
+    links = [[] for _ in range(h.n)]  # in edge order, as the detector lists them
+    for a, b, c in h.edges():
+        links[a].append((b, c))
+        links[b].append((a, c))
+        links[c].append((a, b))
+    for v in range(h.n):
+        for (a1, a2), (b1, b2), (c1, c2) in combinations(links[v], 3):
+            if len({a1, a2, b1, b2, c1, c2}) < 6:
+                continue
+            if has(a1, b1, c1) and has(a1, b2, c2) and has(a2, b1, c2) and has(a2, b2, c1):
+                quads = ((a1, b1, c1), (a1, b2, c2), (a2, b1, c2), (a2, b2, c1))
+            elif has(a2, b2, c2) and has(a2, b1, c1) and has(a1, b2, c1) and has(a1, b1, c2):
+                quads = ((a2, b2, c2), (a2, b1, c1), (a1, b2, c1), (a1, b1, c2))
+            else:
+                continue
+            lines = ((v, a1, a2), (v, b1, b2), (v, c1, c2), *quads)
+            return tuple(tuple(sorted(t)) for t in lines)
+    return None
+
+
+def test_pasch_matches_the_membership_scan():
+    # the mask prefilter must report the very copy the has_edge scan finds first
+    found = total = 0
+    for n in range(7, 13):
+        rng = random.Random(600 + n)
+        for i in range(40):
+            h = random_hypergraph(n, 0.05 + 0.9 * (i % 20) / 19, rng)
+            want = _pasch_by_membership(h)
+            assert find_fano_pasch(h) == want, h
+            found += want is not None
+            total += 1
+    assert 40 < found < total - 40  # random inputs of both kinds
+
+
 def test_fano_contains_itself_with_witness_equal_to_itself():
     for find in (find_fano_embedding, find_fano_pasch, find_fano_crossing):
         assert set(find(FANO)) == set(FANO.edges())
