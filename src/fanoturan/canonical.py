@@ -292,22 +292,21 @@ def _canonicalize(n: int, bits: int) -> tuple[Hypergraph, int]:
     return relabel(h, perm), aut
 
 
+def _check_cap(h: Hypergraph, what: str) -> None:
+    if h.n > CANONICAL_CAP:
+        raise CapabilityError(f"{what} is capped at {CANONICAL_CAP} vertices, got {h.n}")
+
+
 def canonical_form(h: Hypergraph) -> Hypergraph:
     """The least relabeling of h; capability-capped at 12 vertices."""
-    if h.n > CANONICAL_CAP:
-        raise CapabilityError(
-            f"canonical form is capped at {CANONICAL_CAP} vertices, got {h.n}"
-        )
+    _check_cap(h, "canonical form")
     form, _ = _canonicalize(h.n, h.bits)
     return form
 
 
 def automorphism_count(h: Hypergraph) -> int:
     """Number of relabelings fixing the edge set (the automorphism group order)."""
-    if h.n > CANONICAL_CAP:
-        raise CapabilityError(
-            f"automorphism counting is capped at {CANONICAL_CAP} vertices, got {h.n}"
-        )
+    _check_cap(h, "automorphism counting")
     _, aut = _canonicalize(h.n, h.bits)
     return aut
 
@@ -317,8 +316,5 @@ def is_canonical(h: Hypergraph) -> bool:
 
     Stops at the first labeling that beats h, and leaves the form cache alone.
     """
-    if h.n > CANONICAL_CAP:
-        raise CapabilityError(
-            f"canonical form is capped at {CANONICAL_CAP} vertices, got {h.n}"
-        )
+    _check_cap(h, "canonical form")
     return _search(h, seeded=True) is not None

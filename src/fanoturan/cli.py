@@ -17,7 +17,7 @@ import sys
 from . import __version__
 from .errors import CapabilityError, FormatError, ParameterError, VerificationError
 from .fano import DetectionMethod, find_clique, find_fano_edges
-from .hypergraph import Hypergraph, construct, format_text, from_json_dict, parse_text, to_json_dict
+from .hypergraph import FAMILIES, Hypergraph, construct, format_text, from_json_dict, parse_text, to_json_dict
 from .multigraph import (
     PMultigraph,
     extremal_4multigraph,
@@ -27,8 +27,6 @@ from .multigraph import (
     max_edges_no_crossing,
 )
 from .search import CLAIM_ORDER, CLAIMS, max_fano_free_edges, run_claim
-
-_FAMILIES = ("complete", "balanced_bipartite", "j7", "fano", "pasch")
 
 
 def _read_input(path: str) -> str:
@@ -290,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("construct", help="build a named hypergraph family member")
-    p.add_argument("family", choices=_FAMILIES)
+    p.add_argument("family", choices=FAMILIES)
     p.add_argument("n", type=int)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--output", "-o", default=None, help="output file (default stdout)")

@@ -35,7 +35,7 @@ from math import comb
 from operator import or_
 
 from .errors import CapabilityError, ParameterError
-from .hypergraph import FANO_LINES, Hypergraph, complement, triple_rank
+from .hypergraph import FANO_LINES, Hypergraph, _members, complement, triple_rank
 
 IMAGE_CAP = 12
 
@@ -95,10 +95,6 @@ class CoverTable:
             cov |= self.masks[r]
         return cov
 
-    def hits_all(self, ranks) -> bool:
-        """True iff the triples hit every image, i.e. their complement is Fano-free."""
-        return self.cover(ranks) == self.full
-
 
 @lru_cache(maxsize=None)
 def cover_table(n: int) -> CoverTable:
@@ -109,7 +105,8 @@ def cover_table(n: int) -> CoverTable:
 
 def contains_fano_cover(h: Hypergraph) -> bool:
     """Image-table containment test: some plane copy is a subset of the edges."""
-    return not cover_table(h.n).hits_all(complement(h).ranks())
+    table = cover_table(h.n)
+    return table.cover(complement(h).ranks()) != table.full
 
 
 # ---------------------------------------------------------------------------
@@ -238,14 +235,6 @@ def find_fano_crossing(h: Hypergraph) -> tuple[tuple[int, int, int], ...] | None
                     lines = [(v, u, w) for v, mi in zip(edge, pi) for u, w in matchings[mi]]
                     return (edge, *(tuple(sorted(t)) for t in lines))
     return None
-
-
-def _members(mask: int):
-    """The set bits of mask, in ascending order."""
-    while mask:
-        low = mask & -mask
-        mask ^= low
-        yield low.bit_length() - 1
 
 
 def contains_fano_crossing(h: Hypergraph) -> bool:

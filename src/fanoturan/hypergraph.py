@@ -43,6 +43,14 @@ def pair_rank(a: int, b: int) -> int:
     return b * (b - 1) // 2 + a
 
 
+def _members(mask: int):
+    """The set bits of mask, in ascending order."""
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        yield low.bit_length() - 1
+
+
 def _check_n(n: int) -> None:
     if not isinstance(n, int) or n < 1:
         raise ParameterError(f"vertex count must be a positive integer, got {n!r}")
@@ -142,6 +150,9 @@ FANO_LINES: tuple[tuple[int, int, int], ...] = (
 PASCH_QUADS: tuple[tuple[int, int, int], ...] = ((0, 2, 4), (0, 3, 5), (1, 2, 5), (1, 3, 4))
 
 
+FAMILIES = ("complete", "balanced_bipartite", "j7", "fano", "pasch")
+
+
 def construct(kind: str, n: int) -> Hypergraph:
     """Build a named family member.
 
@@ -171,9 +182,7 @@ def construct(kind: str, n: int) -> Hypergraph:
         if n != 6:
             raise ParameterError("pasch is only defined on 6 vertices")
         return Hypergraph.from_edges(6, PASCH_QUADS)
-    raise ParameterError(
-        f"unknown family {kind!r}; expected one of complete, balanced_bipartite, j7, fano, pasch"
-    )
+    raise ParameterError(f"unknown family {kind!r}; expected one of {', '.join(FAMILIES)}")
 
 
 def complement(h: Hypergraph) -> Hypergraph:
@@ -183,60 +192,30 @@ def complement(h: Hypergraph) -> Hypergraph:
 def recognize_balanced_bipartite(h: Hypergraph) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
     """Partition (X, Y) with |X| <= |Y| exhibiting h as balanced bipartite, or None.
 
-    The partition, when it exists, is forced by the complement: non-edges are
-    exactly the triples inside one class, so complement co-occurrence
-    components recover the classes (classes of size < 3 contribute nothing
-    and are filled from the leftover vertices).
+    The non-edges of a bipartite hypergraph are exactly the triples inside
+    one class, so one candidate split decides it.  With no non-edge, X is
+    the first floor(n/2) vertices.  Otherwise let a be the least vertex of
+    the first non-edge: its class is a and every vertex sharing a non-edge
+    with it, and the other class is the rest.  X is the smaller class, or on
+    a size tie the one holding vertex 0.  The candidate is exact because h
+    must equal the bipartite hypergraph it spans, and with b(n) > 0 edges
+    that split is balanced (an empty class spans no edge).
     """
     n = h.n
     if n < 2 or h.edge_count != b_formula(n):
         return None
-    small, large = n // 2, (n + 1) // 2
-
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    comp = complement(h)
-    touched = [False] * n
-    for a, b, c in comp.edges():
-        touched[a] = touched[b] = touched[c] = True
-        parent[find(b)] = find(a)
-        parent[find(c)] = find(a)
-    groups: dict[int, list[int]] = {}
-    for v in range(n):
-        if touched[v]:
-            groups.setdefault(find(v), []).append(v)
-    free = [v for v in range(n) if not touched[v]]
-    gs = sorted(groups.values(), key=len)
-
-    if len(gs) == 0:
-        x_side = list(range(small))
-    elif len(gs) == 1:
-        if len(gs[0]) == large and len(free) == small:
-            x_side = free
-        elif len(gs[0]) == small and len(free) == large:
-            x_side = gs[0]
-        else:
-            return None
-    elif len(gs) == 2:
-        if free or sorted(map(len, gs)) != sorted((small, large)):
-            return None
-        x_side = gs[0] if len(gs[0]) < len(gs[1]) else min(gs, key=min)
+    missing = complement(h).edges()
+    if missing:
+        a = missing[0][0]
+        near = {v for e in missing if a in e for v in e}
+        far = [v for v in range(n) if v not in near]
+        x_side = min(sorted(near), far, key=lambda side: (len(side), 0 not in side))
     else:
-        return None
-
-    in_x = [False] * n
-    for v in x_side:
-        in_x[v] = True
+        x_side = list(range(n // 2))
+    in_x = [v in x_side for v in range(n)]
     if _bipartite(n, in_x) != h:
         return None
-    y_side = [v for v in range(n) if not in_x[v]]
-    return tuple(sorted(x_side)), tuple(sorted(y_side))
+    return tuple(x_side), tuple(v for v in range(n) if not in_x[v])
 
 
 def random_hypergraph(n: int, density: float, rng: random.Random) -> Hypergraph:

@@ -30,7 +30,7 @@ from math import comb
 
 from .certificate import Certificate, ClaimRun
 from .errors import CapabilityError, FormatError, ParameterError
-from .hypergraph import MAX_VERTICES, b_formula, pair_rank
+from .hypergraph import MAX_VERTICES, _members, b_formula, pair_rank
 
 MAX_LAYERS = 16
 
@@ -167,15 +167,10 @@ def _sdr_table(p: int) -> tuple:
 
 def _pick_distinct(ia: int, ib: int, ic: int) -> tuple[int, int, int]:
     """One concrete distinct triple (1-indexed layers) from mask sets."""
-    for i in range(ia.bit_length()):
-        if not ia >> i & 1:
-            continue
-        for j in range(ib.bit_length()):
-            if j == i or not ib >> j & 1:
-                continue
-            for k in range(ic.bit_length()):
-                if k not in (i, j) and ic >> k & 1:
-                    return (i + 1, j + 1, k + 1)
+    for i in _members(ia):
+        for j in _members(ib & ~(1 << i)):
+            for k in _members(ic & ~(1 << i | 1 << j)):
+                return (i + 1, j + 1, k + 1)
     raise AssertionError("no distinct representatives despite Hall check")
 
 
@@ -246,10 +241,7 @@ def f5_lower_constructions(n: int) -> tuple[tuple[PMultigraph, int], tuple[PMult
     multigraph plus a fifth layer holding the crossing pairs, total
     f4_formula(n) + floor(n^2/4).
     """
-    if n < 2:
-        raise ParameterError(f"need n >= 2, got {n}")
-    if n > MAX_VERTICES:
-        raise ParameterError(f"need n <= {MAX_VERTICES}, got {n}")
+    base = extremal_4multigraph(n)  # checks the range of n
     part = _three_part_of(n)
     memb1 = [0] * comb(n, 2)
     for u in range(n):
@@ -258,7 +250,6 @@ def f5_lower_constructions(n: int) -> tuple[tuple[PMultigraph, int], tuple[PMult
                 memb1[pair_rank(u, v)] = 0b11111
     g1 = PMultigraph(5, n, tuple(memb1))
 
-    base = extremal_4multigraph(n)
     half = n // 2
     memb2 = list(base.memb)
     for u in range(half):

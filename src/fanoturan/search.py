@@ -45,7 +45,6 @@ from .canonical import automorphism_count, canonical_form, is_canonical
 from .certificate import Certificate, CheckpointWriter, ClaimRun
 from .errors import CapabilityError, ParameterError
 from .fano import (
-    _members,
     contains_fano_crossing,
     contains_fano_embedding,
     contains_fano_pasch,
@@ -54,6 +53,7 @@ from .fano import (
 )
 from .hypergraph import (
     Hypergraph,
+    _members,
     b_formula,
     complement,
     construct,
@@ -564,20 +564,8 @@ def verify_fact_2_4(*, seed: int = 0) -> Certificate:
 
 
 def _perfect_matchings6() -> list[int]:
-    pair_index = {p: i for i, p in enumerate(_SIX_PAIRS)}
-    out: list[int] = []
-
-    def rec(avail: list[int], mask: int) -> None:
-        if not avail:
-            out.append(mask)
-            return
-        u = avail[0]
-        for w in avail[1:]:
-            rest = [v for v in avail if v not in (u, w)]
-            rec(rest, mask | 1 << pair_index[(u, w)])
-
-    rec(list(range(6)), 0)
-    return out
+    return [1 << i | 1 << j | 1 << k for i, j, k in combinations(range(15), 3)
+            if len({*_SIX_PAIRS[i], *_SIX_PAIRS[j], *_SIX_PAIRS[k]}) == 6]
 
 
 def verify_matching_facts(*, seed: int = 0) -> Certificate:

@@ -11,6 +11,7 @@ import pytest
 
 from fanoturan import __version__
 from fanoturan.cli import build_parser, emit_report, main
+from fanoturan.errors import ParameterError
 from fanoturan.hypergraph import construct, from_json_dict, parse_text, to_json_dict
 
 
@@ -81,6 +82,20 @@ def test_construct_validates_arguments(capsys):
     with pytest.raises(SystemExit) as info:
         main(["construct", "heptagon", "7"])
     assert info.value.code == 2
+
+
+def test_unknown_family_messages_list_the_families(capsys):
+    with pytest.raises(SystemExit):
+        main(["construct", "heptagon", "7"])
+    assert (
+        "invalid choice: 'heptagon' (choose from "
+        "'complete', 'balanced_bipartite', 'j7', 'fano', 'pasch')"
+    ) in capsys.readouterr().err
+    with pytest.raises(ParameterError) as info:
+        construct("heptagon", 7)
+    assert str(info.value) == (
+        "unknown family 'heptagon'; expected one of complete, balanced_bipartite, j7, fano, pasch"
+    )
 
 
 def test_search_verb(capsys):

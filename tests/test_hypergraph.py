@@ -8,9 +8,11 @@ from math import comb
 import pytest
 
 from fanoturan.errors import CapabilityError, FormatError, ParameterError
+from fanoturan.canonical import relabel
 from fanoturan.hypergraph import (
     FANO_LINES,
     Hypergraph,
+    _bipartite,
     b_formula,
     complement,
     construct,
@@ -144,6 +146,48 @@ def test_recognize_balanced_bipartite_rejects_near_misses():
     # dropping any single crossing triple breaks the family
     assert recognize_balanced_bipartite(Hypergraph.from_edges(8, edges[1:])) is None
     assert recognize_balanced_bipartite(construct("complete", 6)) is None
+
+
+def _balanced_splits(n):
+    """Reference recognizer for n vertices: every bipartite hypergraph with
+    classes of sizes floor(n/2) and ceil(n/2), mapped to its (X, Y).
+
+    Splits are tried in lex order of X, keeping the first that gives each
+    hypergraph; for even n only the X holding vertex 0 is tried.  That is
+    the tie rule (X is the smaller class, or the one holding vertex 0), and
+    where several splits give one hypergraph (n <= 4, no non-edge) it picks
+    X = range(n // 2).
+    """
+    out = {}
+    for x in combinations(range(n), n // 2):
+        if n % 2 == 0 and 0 not in x:
+            continue
+        crossing = [t for t in combinations(range(n), 3) if 0 < len(set(t) & set(x)) < 3]
+        h = Hypergraph.from_edges(n, crossing)
+        out.setdefault(h, (x, tuple(v for v in range(n) if v not in x)))
+    return out
+
+
+def test_recognize_balanced_bipartite_matches_a_brute_force_reference():
+    rng = random.Random(19)
+    for n in range(2, 11):
+        reference = _balanced_splits(n)
+        inputs = [_bipartite(n, [bool(mask >> v & 1) for v in range(n)]) for mask in range(1 << n)]
+        for _ in range(8):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            h = relabel(construct("balanced_bipartite", n), perm)
+            assert h in reference
+            inputs.append(h)
+            on = [r for r in range(comb(n, 3)) if h.bits >> r & 1]
+            off = [r for r in range(comb(n, 3)) if not h.bits >> r & 1]
+            if on and off:
+                inputs.append(Hypergraph(n, h.bits ^ 1 << rng.choice(on) ^ 1 << rng.choice(off)))
+        for h in inputs:
+            parts = recognize_balanced_bipartite(h)
+            assert parts == reference.get(h)
+            if parts is not None and n % 2 == 0:
+                assert 0 in parts[0]
 
 
 def test_b6_has_unique_large_independent_set():

@@ -15,6 +15,7 @@ from fanoturan.multigraph import (
     CrossingWitness,
     PMultigraph,
     _f5_upper_scaled,
+    _pick_distinct,
     _sdr3,
     extremal_4multigraph,
     f4_formula,
@@ -119,6 +120,29 @@ def test_sdr3_matches_brute_force():
         for ib in range(32):
             for ic in range(32):
                 assert _sdr3(ia, ib, ic) == brute(ia, ib, ic)
+
+
+def test_pick_distinct_matches_a_bit_length_scan():
+    def scan(ia, ib, ic):
+        for i in range(ia.bit_length()):
+            if not ia >> i & 1:
+                continue
+            for j in range(ib.bit_length()):
+                if j == i or not ib >> j & 1:
+                    continue
+                for k in range(ic.bit_length()):
+                    if k not in (i, j) and ic >> k & 1:
+                        return (i + 1, j + 1, k + 1)
+        return None
+
+    checked = 0
+    for ia in range(32):
+        for ib in range(32):
+            for ic in range(32):
+                if _sdr3(ia, ib, ic):
+                    assert _pick_distinct(ia, ib, ic) == scan(ia, ib, ic)
+                    checked += 1
+    assert checked > 10_000
 
 
 def test_crossing_witness_holds_in():

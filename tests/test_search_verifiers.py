@@ -409,6 +409,28 @@ def _matching_scan(pms):
     return None
 
 
+def test_perfect_matchings_of_k6_are_the_fifteen_matchings():
+    pms = search._perfect_matchings6()
+    assert len(pms) == 15
+    for pm in pms:
+        pairs = [search._SIX_PAIRS[i] for i in range(15) if pm >> i & 1]
+        assert len(pairs) == 3
+        assert sorted(v for pair in pairs for v in pair) == list(range(6))
+
+    index = {pair: i for i, pair in enumerate(search._SIX_PAIRS)}
+
+    def matchings(avail):
+        if not avail:
+            yield 0
+            return
+        u = avail[0]
+        for w in avail[1:]:
+            for m in matchings([v for v in avail if v not in (u, w)]):
+                yield m | 1 << index[(u, w)]
+
+    assert set(pms) == set(matchings(list(range(6))))
+
+
 def test_matching_facts_fail_without_pair_zero_matchings(monkeypatch):
     # fifteen distinct triples of pairs, all through pair 0: every graph
     # without pair 0 then has no "matching"
