@@ -39,15 +39,28 @@ def _read_input(path: str) -> str:
         raise FormatError(f"{path}: {exc}") from exc
 
 
+def _parse_json(text: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"invalid JSON: {exc}") from exc
+
+
 def _load_hypergraph(path: str) -> Hypergraph:
     text = _read_input(path)
     if text.lstrip().startswith("{"):
-        try:
-            obj = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"invalid JSON: {exc}") from exc
-        return from_json_dict(obj)
+        return from_json_dict(_parse_json(text))
     return parse_text(text)
+
+
+def _emit(fmt: str, payload: object, text_lines: list[str]) -> str:
+    """A command's report: payload as indented JSON, or its text lines.
+
+    The one place the command line chooses between its two formats.
+    """
+    if fmt == "json":
+        return json.dumps(payload, indent=2)
+    return "\n".join(text_lines)
 
 
 def _write_output(text: str, path: str | None) -> None:
@@ -66,11 +79,7 @@ def _write_output(text: str, path: str | None) -> None:
 
 def _cmd_construct(args: argparse.Namespace) -> int:
     h = construct(args.family, args.n)
-    if args.format == "json":
-        out = json.dumps(to_json_dict(h), indent=2)
-    else:
-        out = format_text(h)
-    _write_output(out, args.output)
+    _write_output(_emit(args.format, to_json_dict(h), [format_text(h)]), args.output)
     return 0
 
 
@@ -103,12 +112,10 @@ def _cmd_check(args: argparse.Namespace) -> int:
         results[pattern] = {"found": found, "witness": list(clique) if clique else None}
     payload = {"pattern": pattern, "n": h.n, "edges": h.edge_count, "found": found,
                "methods": results}
-    if args.format == "json":
-        print(json.dumps(payload, indent=2))
-    else:
-        print(f"pattern={pattern} found={str(found).lower()}")
-        for name, res in results.items():
-            print(f"  {name}: {res['witness'] if res['found'] else 'no witness'}")
+    lines = [f"pattern={pattern} found={str(found).lower()}"]
+    lines += [f"  {name}: {res['witness'] if res['found'] else 'no witness'}"
+              for name, res in results.items()]
+    print(_emit(args.format, payload, lines))
     return 0 if found else 1
 
 
@@ -123,13 +130,10 @@ def _cmd_search(args: argparse.Namespace) -> int:
         "max_edges": value,
         "extremal_classes": [to_json_dict(f) for f in classes],
     }
-    if args.format == "json":
-        print(json.dumps(payload, indent=2))
-    else:
-        print(f"n={args.n} max_edges={value} classes={len(classes)}")
-        for f in classes:
-            print(format_text(f).rstrip())
-            print()
+    lines = [f"n={args.n} max_edges={value} classes={len(classes)}"]
+    for f in classes:
+        lines += [format_text(f).rstrip(), ""]
+    print(_emit(args.format, payload, lines))
     return 0
 
 
@@ -139,10 +143,6 @@ def _cmd_search(args: argparse.Namespace) -> int:
 
 def emit_report(certs: list[dict], fmt: str) -> str:
     """Render a list of certificate dicts as a text table or JSON array."""
-    if fmt == "json":
-        return json.dumps(certs, indent=2)
-    if not certs:
-        return "no claims run"
     lines = [f"{'claim':<16} {'verdict':<8} {'space':>12} {'visited':>12} {'elapsed':>10}"]
     for c in certs:
         lines.append(
@@ -153,18 +153,19 @@ def emit_report(certs: list[dict], fmt: str) -> str:
             lines.append(f"  witness: {json.dumps(c['witnesses'][0])}")
     npass = sum(1 for c in certs if c["verdict"] == "pass")
     lines.append(f"summary: {npass} passed, {len(certs) - npass} failed")
-    return "\n".join(lines)
+    return _emit(fmt, certs, lines if certs else ["no claims run"])
 
 
-def _verify_worker(payload: tuple) -> tuple[str, object]:
+def _verify_worker(payload: tuple) -> dict | str:
+    """The claim's certificate dict, pass or fail, or its capability message."""
     claim, seed, long_run, checkpoint = payload
     try:
         cert = run_claim(claim, seed=seed, long_run=long_run, checkpoint_path=checkpoint)
-        return ("ok", cert.to_json_dict())
     except VerificationError as exc:
-        return ("fail", exc.certificate.to_json_dict())
+        cert = exc.certificate
     except CapabilityError as exc:
-        return ("capability", f"{claim}: {exc}")
+        return f"{claim}: {exc}"
+    return cert.to_json_dict()
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -180,11 +181,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 2
-    seen = set()
-    claims = [c for c in requested if not (c in seen or seen.add(c))]
-    if not claims:
-        print("error: no claims requested", file=sys.stderr)
-        return 2
+    claims = list(dict.fromkeys(requested))
 
     jobs = args.jobs
     if jobs is None:
@@ -206,73 +203,57 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         with ProcessPoolExecutor(max_workers=min(jobs, len(claims))) as pool:
             outcomes = list(pool.map(_verify_worker, payloads))
 
-    certs: list[dict] = []
-    for status, data in outcomes:
-        if status == "capability":
-            print(f"capability: {data}", file=sys.stderr)
+    for outcome in outcomes:
+        if isinstance(outcome, str):
+            print(f"capability: {outcome}", file=sys.stderr)
             return 3
-        certs.append(data)  # type: ignore[arg-type]
-    print(emit_report(certs, args.format))
-    return 0 if all(c["verdict"] == "pass" for c in certs) else 1
+    print(emit_report(outcomes, args.format))
+    return 0 if all(c["verdict"] == "pass" for c in outcomes) else 1
 
 
 # ---------------------------------------------------------------------------
 # multigraph
 # ---------------------------------------------------------------------------
 
-def _print_multigraph(g: PMultigraph, fmt: str, extra: dict | None = None) -> None:
-    payload = dict(extra or {})
-    payload["multigraph"] = g.to_json_dict()
-    if fmt == "json":
-        print(json.dumps(payload, indent=2))
-    else:
-        for k, v in payload.items():
-            if k != "multigraph":
-                print(f"{k}={v}")
-        print(json.dumps(payload["multigraph"]))
+def _emit_multigraph(fmt: str, fields: dict, g: PMultigraph) -> str:
+    """fields as key=value lines, then g's JSON on one line; or all as one object."""
+    graph = g.to_json_dict()
+    lines = [f"{k}={v}" for k, v in fields.items()] + [json.dumps(graph)]
+    return _emit(fmt, {**fields, "multigraph": graph}, lines)
 
 
-def _cmd_multigraph(args: argparse.Namespace) -> int:
-    if args.action == "extremal4":
-        g = extremal_4multigraph(args.n)
-        _print_multigraph(g, args.format, {"edge_total": g.edge_total(), "formula": f4_formula(args.n)})
-        return 0
-    if args.action == "constructions":
-        (g1, t1), (g2, t2) = f5_lower_constructions(args.n)
-        payload = {
-            "n": args.n,
-            "constructions": [
-                {"total": t1, "multigraph": g1.to_json_dict()},
-                {"total": t2, "multigraph": g2.to_json_dict()},
-            ],
-        }
-        if args.format == "json":
-            print(json.dumps(payload, indent=2))
-        else:
-            print(f"n={args.n} totals=({t1}, {t2})")
-            print(json.dumps(payload["constructions"][0]["multigraph"]))
-            print(json.dumps(payload["constructions"][1]["multigraph"]))
-        return 0
-    if args.action == "search":
-        value, g = max_edges_no_crossing(
-            args.p, args.n, node_budget=args.node_budget, long_run=args.long_run
-        )
-        _print_multigraph(g, args.format, {"p": args.p, "n": args.n, "max_edges": value})
-        return 0
-    if args.action == "check":
-        text = _read_input(args.file)
-        try:
-            obj = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"invalid JSON: {exc}") from exc
-        g = PMultigraph.from_json_dict(obj)
-        w = has_three_crossing_pairs(g)
-        if w is None:
-            print("crossing=none")
-            return 1
-        print(f"crossing quad={list(w.quad)} layers={list(w.layers)}")
-        return 0
-    raise ParameterError(f"unknown multigraph action {args.action!r}")
+def _cmd_extremal4(args: argparse.Namespace) -> int:
+    g = extremal_4multigraph(args.n)
+    fields = {"edge_total": g.edge_total(), "formula": f4_formula(args.n)}
+    print(_emit_multigraph(args.format, fields, g))
+    return 0
+
+
+def _cmd_constructions(args: argparse.Namespace) -> int:
+    built = f5_lower_constructions(args.n)
+    constructions = [{"total": total, "multigraph": g.to_json_dict()} for g, total in built]
+    lines = [f"n={args.n} totals={tuple(c['total'] for c in constructions)}"]
+    lines += [json.dumps(c["multigraph"]) for c in constructions]
+    print(_emit(args.format, {"n": args.n, "constructions": constructions}, lines))
+    return 0
+
+
+def _cmd_multigraph_search(args: argparse.Namespace) -> int:
+    value, g = max_edges_no_crossing(
+        args.p, args.n, node_budget=args.node_budget, long_run=args.long_run
+    )
+    print(_emit_multigraph(args.format, {"p": args.p, "n": args.n, "max_edges": value}, g))
+    return 0
+
+
+def _cmd_multigraph_check(args: argparse.Namespace) -> int:
+    g = PMultigraph.from_json_dict(_parse_json(_read_input(args.file)))
+    w = has_three_crossing_pairs(g)
+    if w is None:
+        print("crossing=none")
+        return 1
+    print(f"crossing quad={list(w.quad)} layers={list(w.layers)}")
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -329,21 +310,21 @@ def build_parser() -> argparse.ArgumentParser:
     pm = msub.add_parser("extremal4", help="the extremal 4-layer construction")
     pm.add_argument("n", type=int)
     pm.add_argument("--format", choices=("text", "json"), default="text")
-    pm.set_defaults(func=_cmd_multigraph)
+    pm.set_defaults(func=_cmd_extremal4)
     pm = msub.add_parser("constructions", help="the two 5-layer lower bound constructions")
     pm.add_argument("n", type=int)
     pm.add_argument("--format", choices=("text", "json"), default="text")
-    pm.set_defaults(func=_cmd_multigraph)
+    pm.set_defaults(func=_cmd_constructions)
     pm = msub.add_parser("search", help="exact crossing-free maximum")
     pm.add_argument("--p", type=int, required=True)
     pm.add_argument("--n", type=int, required=True)
     pm.add_argument("--node-budget", type=int, default=200_000_000)
     pm.add_argument("--long-run", action="store_true")
     pm.add_argument("--format", choices=("text", "json"), default="text")
-    pm.set_defaults(func=_cmd_multigraph)
+    pm.set_defaults(func=_cmd_multigraph_search)
     pm = msub.add_parser("check", help="report a three-crossing-pair witness")
     pm.add_argument("file", help="multigraph JSON path, or - for stdin")
-    pm.set_defaults(func=_cmd_multigraph)
+    pm.set_defaults(func=_cmd_multigraph_check)
 
     return parser
 
@@ -363,11 +344,6 @@ def main(argv=None) -> int:
         note = f" (best_found={exc.best_found})" if exc.best_found is not None else ""
         print(f"capability: {exc}{note}", file=sys.stderr)
         return 3
-    except VerificationError as exc:
-        if exc.certificate is not None:
-            print(emit_report([exc.certificate.to_json_dict()], "text"))
-        print(f"verification failed: {exc}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

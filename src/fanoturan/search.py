@@ -304,8 +304,8 @@ def verify_ex7(*, seed: int = 0) -> Certificate:
 
     Accounts for every complement of sizes 0..5 through the hitting-set
     brancher (384,168 states, none walked one at a time) and confirms both
-    named extremal constructions attain the bound and pass all three
-    independent plane detectors as Fano-free.
+    extremal constructions named in LEMMA_N7_FAMILIES attain the bound and
+    pass all three independent plane detectors as Fano-free.
     """
     space = sum(comb(35, c) for c in range(6))
     run = ClaimRun("ex-7", space, seed)
@@ -321,7 +321,7 @@ def verify_ex7(*, seed: int = 0) -> Certificate:
         run.fail(visited, {"survivors": len(scan.survivors)},
                  "wrong survivor count at the boundary")
 
-    for kind in ("balanced_bipartite", "j7"):
+    for kind in LEMMA_N7_FAMILIES:
         h = construct(kind, 7)
         if h.edge_count != 30 or h.edge_count != b_formula(7):
             run.fail(visited, {"family": kind, "edges": h.edge_count},

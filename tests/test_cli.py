@@ -9,9 +9,10 @@ from pathlib import Path
 
 import pytest
 
-from fanoturan import __version__
+from fanoturan import __version__, cli, search
 from fanoturan.cli import build_parser, emit_report, main
 from fanoturan.errors import ParameterError
+from fanoturan.fano import DetectionMethod, find_fano_edges
 from fanoturan.hypergraph import construct, from_json_dict, parse_text, to_json_dict
 
 
@@ -363,3 +364,170 @@ def test_parser_exposes_all_verbs():
     text = parser.format_help()
     for verb in ("construct", "check", "search", "verify", "multigraph"):
         assert verb in text
+
+
+# Text reports, pinned byte for byte: a change to any of them changes what a
+# user reads.
+SEARCH_EX_7_TEXT = """\
+n=7 max_edges=30 classes=2
+7 30
+0 1 2
+0 1 3
+0 2 3
+1 2 3
+0 1 4
+0 2 4
+1 2 4
+0 3 4
+1 3 4
+2 3 4
+0 1 5
+0 2 5
+1 2 5
+0 3 5
+1 3 5
+2 3 5
+0 4 5
+1 4 5
+2 4 5
+3 4 5
+0 1 6
+0 2 6
+1 2 6
+0 3 6
+1 3 6
+2 3 6
+0 4 6
+1 4 6
+2 4 6
+3 4 6
+
+7 30
+0 1 2
+0 1 3
+0 2 3
+1 2 3
+0 1 4
+0 2 4
+1 2 4
+0 3 4
+1 3 4
+0 1 5
+0 2 5
+1 2 5
+0 3 5
+1 3 5
+0 4 5
+1 4 5
+0 2 6
+1 2 6
+0 3 6
+1 3 6
+2 3 6
+0 4 6
+1 4 6
+2 4 6
+3 4 6
+0 5 6
+1 5 6
+2 5 6
+3 5 6
+4 5 6
+
+"""
+
+EXTREMAL_4_4 = (
+    '{"p": 4, "n": 4, "pairs": [{"u": 0, "v": 1, "layers": [1, 2]}, '
+    '{"u": 0, "v": 2, "layers": [1, 2, 3, 4]}, {"u": 0, "v": 3, "layers": [1, 2, 3, 4]}, '
+    '{"u": 1, "v": 2, "layers": [1, 2, 3, 4]}, {"u": 1, "v": 3, "layers": [1, 2, 3, 4]}, '
+    '{"u": 2, "v": 3, "layers": [3, 4]}]}'
+)
+
+PINNED_TEXT = {
+    ("search", "ex", "--n", "7"): SEARCH_EX_7_TEXT,
+    ("multigraph", "extremal4", "4"): f"edge_total=20\nformula=20\n{EXTREMAL_4_4}\n",
+    ("multigraph", "constructions", "4"): (
+        "n=4 totals=(25, 24)\n"
+        '{"p": 5, "n": 4, "pairs": [{"u": 0, "v": 2, "layers": [1, 2, 3, 4, 5]}, '
+        '{"u": 0, "v": 3, "layers": [1, 2, 3, 4, 5]}, {"u": 1, "v": 2, "layers": [1, 2, 3, 4, 5]}, '
+        '{"u": 1, "v": 3, "layers": [1, 2, 3, 4, 5]}, {"u": 2, "v": 3, "layers": [1, 2, 3, 4, 5]}]}\n'
+        '{"p": 5, "n": 4, "pairs": [{"u": 0, "v": 1, "layers": [1, 2]}, '
+        '{"u": 0, "v": 2, "layers": [1, 2, 3, 4, 5]}, {"u": 0, "v": 3, "layers": [1, 2, 3, 4, 5]}, '
+        '{"u": 1, "v": 2, "layers": [1, 2, 3, 4, 5]}, {"u": 1, "v": 3, "layers": [1, 2, 3, 4, 5]}, '
+        '{"u": 2, "v": 3, "layers": [3, 4]}]}\n'
+    ),
+    ("multigraph", "search", "--p", "4", "--n", "4"): f"p=4\nn=4\nmax_edges=20\n{EXTREMAL_4_4}\n",
+}
+
+
+@pytest.mark.parametrize(
+    "argv", list(PINNED_TEXT), ids=lambda argv: "-".join(a.lstrip("-") for a in argv)
+)
+def test_text_reports_match_the_pinned_text(argv, capsys):
+    assert main(list(argv)) == 0
+    captured = capsys.readouterr()
+    assert captured.out == PINNED_TEXT[argv]
+    assert captured.err == ""
+
+
+@pytest.mark.parametrize("family,code,text", [
+    ("j7", 1,
+     "pattern=fano found=false\n"
+     "  embedding: no witness\n"
+     "  crossing_pairs: no witness\n"
+     "  pasch_matching: no witness\n"),
+    ("fano", 0,
+     "pattern=fano found=true\n"
+     "  embedding: [[0, 1, 2], [2, 3, 4], [0, 4, 5], [0, 3, 6], [2, 5, 6], [1, 4, 6], [1, 3, 5]]\n"
+     "  crossing_pairs: [[0, 1, 2], [0, 3, 6], [0, 4, 5], [1, 3, 5], [1, 4, 6], [2, 3, 4], [2, 5, 6]]\n"
+     "  pasch_matching: [[0, 1, 2], [0, 4, 5], [0, 3, 6], [2, 5, 6], [2, 3, 4], [1, 3, 5], [1, 4, 6]]\n"),
+], ids=["j7", "fano"])
+def test_check_all_methods_text_report(family, code, text, tmp_path, capsys):
+    path = str(tmp_path / f"{family}.txt")
+    assert main(["construct", family, "7", "-o", path]) == 0
+    assert main(["check", path, "--method", "all"]) == code
+    captured = capsys.readouterr()
+    assert captured.out == text
+    assert captured.err == ""
+
+
+def test_verify_reports_a_failing_claim(capsys, monkeypatch):
+    # a class list with one construction too many makes lemma-n7 fail
+    monkeypatch.delenv("FANOTURAN_JOBS", raising=False)
+    monkeypatch.setattr(search, "LEMMA_N7_FAMILIES", ("balanced_bipartite", "j7", "fano"))
+    assert main(["verify", "lemma-n7"]) == 1
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert lines[1].split()[:2] == ["lemma-n7", "fail"]
+    assert lines[2].startswith("  witness: ")
+    assert lines[-1] == "summary: 0 passed, 1 failed"
+    assert captured.err == ""
+    assert main(["verify", "lemma-n7", "--format", "json"]) == 1
+    (cert,) = json.loads(capsys.readouterr().out)
+    assert (cert["claim"], cert["verdict"], cert["space"], cert["visited"]) == (
+        "lemma-n7", "fail", 324632, 324632,
+    )
+    assert cert["witnesses"][0]["unexpected_classes"] == []
+
+
+def test_verify_rejects_zero_jobs(capsys):
+    assert main(["verify", "matching-facts", "--jobs", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: jobs must be at least 1, got 0\n"
+    assert captured.out == ""
+
+
+def test_check_reports_detector_disagreement(tmp_path, capsys, monkeypatch):
+    def pasch_sees_nothing(h, method):
+        return None if method is DetectionMethod.PASCH_MATCHING else find_fano_edges(h, method)
+
+    path = str(tmp_path / "fano.txt")
+    assert main(["construct", "fano", "7", "-o", path]) == 0
+    monkeypatch.setattr(cli, "find_fano_edges", pasch_sees_nothing)
+    assert main(["check", path, "--method", "all"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: detection methods disagree\n")
+    assert json.loads(captured.err.split("\n", 1)[1])["pasch_matching"] == {
+        "found": False, "witness": None,
+    }
+    assert captured.out == ""

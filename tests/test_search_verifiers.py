@@ -283,6 +283,17 @@ def test_lemma_n7_rejects_a_wrong_class_list(monkeypatch):
     assert w["unexpected_classes"] == []
 
 
+def test_ex7_checks_the_lemma_n7_class_list(monkeypatch):
+    # ex-7 checks the constructions lemma-n7 names, not a list of its own
+    monkeypatch.setattr(search, "LEMMA_N7_FAMILIES", search.LEMMA_N7_FAMILIES + ("fano",))
+    with pytest.raises(VerificationError) as info:
+        verify_ex7(seed=4)
+    cert = info.value.certificate
+    assert (cert.claim, cert.verdict, cert.visited) == ("ex-7", "fail", 384168)
+    assert str(info.value) == "extremal construction has wrong size"
+    assert cert.witnesses[0] == {"family": "fano", "edges": 7}
+
+
 def _unhittable_image(table):
     # image 0 stays in the table but no triple hits it: nothing is Fano-free
     return CoverTable(tuple(m & ~1 for m in table.masks), table.full, table.most)
