@@ -26,7 +26,7 @@ from .multigraph import (
     has_three_crossing_pairs,
     max_edges_no_crossing,
 )
-from .search import CLAIM_ORDER, CLAIMS, max_fano_free_edges, run_claim
+from .search import CLAIM_ORDER, CLAIMS, LONG_RUN_CLAIMS, max_fano_free_edges, run_claim
 
 
 def _read_input(path: str) -> str:
@@ -192,8 +192,18 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             raise ParameterError(f"FANOTURAN_JOBS must be an integer, got {env!r}") from None
     if jobs < 1:
         raise ParameterError(f"jobs must be at least 1, got {jobs}")
+    if args.checkpoint is not None and LONG_RUN_CLAIMS.isdisjoint(claims):
+        print(
+            f"note: --checkpoint is unused: only {', '.join(sorted(LONG_RUN_CLAIMS))} writes one",
+            file=sys.stderr,
+        )
+    gated = [c for c in claims if c in LONG_RUN_CLAIMS and not args.long_run]
     payloads = [(c, args.seed, args.long_run, args.checkpoint) for c in claims]
-    if jobs == 1 or len(claims) == 1:
+    if gated:
+        # a long-run claim refuses before any work without long_run, so asking
+        # it alone stops the run before any other claim starts
+        outcomes = [_verify_worker((gated[0], args.seed, False, None))]
+    elif jobs == 1 or len(claims) == 1:
         outcomes = [_verify_worker(p) for p in payloads]
     else:
         # imported here: the process pool machinery is most of the import

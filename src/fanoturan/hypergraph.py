@@ -21,16 +21,18 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb
 
 from .errors import CapabilityError, FormatError, ParameterError
 
 MAX_VERTICES = 64
 
-# Colex-ordered lookup tables, built once for the n = 64 cap.
-TRIPLES: tuple[tuple[int, int, int], ...] = tuple(
-    (a, b, c) for c in range(2, MAX_VERTICES) for b in range(1, c) for a in range(b)
-)
+
+@lru_cache(maxsize=None)
+def _triples(n: int) -> tuple[tuple[int, int, int], ...]:
+    """The triples on n vertices in colex order, so entry r has rank r."""
+    return tuple((a, b, c) for c in range(2, n) for b in range(1, c) for a in range(b))
 
 
 def triple_rank(a: int, b: int, c: int) -> int:
@@ -104,7 +106,8 @@ class Hypergraph:
 
     def edges(self) -> tuple[tuple[int, int, int], ...]:
         """All edges as sorted triples, in colex order."""
-        return tuple(TRIPLES[r] for r in self.ranks())
+        triples = _triples(self.n)
+        return tuple(triples[r] for r in self.ranks())
 
     def thirds(self) -> list[list[int]]:
         """thirds[u][w]: the bitmask of the vertices c with {u, w, c} an edge."""
@@ -137,7 +140,7 @@ def b_formula(n: int) -> int:
 
 def _bipartite(n: int, in_x: list[bool]) -> Hypergraph:
     """All triples meeting both classes of the given 2-coloring."""
-    triples = enumerate(TRIPLES[:comb(n, 3)])
+    triples = enumerate(_triples(n))
     return Hypergraph.from_ranks(
         n, (r for r, (a, b, c) in triples if 0 < in_x[a] + in_x[b] + in_x[c] < 3)
     )

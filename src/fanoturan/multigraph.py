@@ -157,12 +157,29 @@ def _sdr3(ia: int, ib: int, ic: int) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _sdr_table(p: int) -> tuple:
-    size = 1 << p
-    return tuple(
-        tuple(tuple(_sdr3(a, b, c) for c in range(size)) for b in range(size))
-        for a in range(size)
-    )
+def _sdr_table() -> tuple:
+    """sdr[a][b][c] == _sdr3(a, b, c) for masks over at most five layers.
+
+    _sdr3 does not depend on the layer count, so one table serves p = 4 and
+    p = 5.  A row sdr[a][b] depends on a only when a has fewer than two
+    layers, on b likewise, and on a | b only when it has fewer than three;
+    so the 1024 rows share 119 distinct tuples, and only those are computed.
+    """
+    size = 1 << 5
+    rows: dict[tuple, tuple] = {}
+
+    def row(a: int, b: int) -> tuple:
+        key = (
+            a if a.bit_count() < 2 else -1,
+            b if b.bit_count() < 2 else -1,
+            a | b if (a | b).bit_count() < 3 else -1,
+        )
+        r = rows.get(key)
+        if r is None:
+            r = rows[key] = tuple(_sdr3(a, b, c) for c in range(size))
+        return r
+
+    return tuple(tuple(row(a, b) for b in range(size)) for a in range(size))
 
 
 def _pick_distinct(ia: int, ib: int, ic: int) -> tuple[int, int, int]:
@@ -263,12 +280,23 @@ def f5_lower_constructions(n: int) -> tuple[tuple[PMultigraph, int], tuple[PMult
 # Exact maximum by deficit-bounded branch and bound.
 #
 # Pairs are assigned in colex rank order; a 4-subset is tested exactly once,
-# at the moment its colex-largest pair is assigned.  Layer-permutation
-# symmetry is broken by forcing the first nonempty membership set to be a
-# prefix {1..k} of the layers; any multigraph can be layer-permuted into that
-# shape without changing totals or crossing structure.  The budget on the
+# at the moment its colex-largest pair is assigned.  The budget on the
 # remaining deficit comes from the seeded construction total, so only states
 # that could still beat the seed are expanded.
+#
+# Layer-permutation symmetry is broken in full, by layer classes.  A class is
+# a set of layers that agree on every pair assigned so far; at the start all
+# p layers form one class.  A pair's mask is allowed only if, inside every
+# class, it takes that class's lowest-indexed layers, and the child's classes
+# are each class split into the layers it took and the ones it did not.
+# Classes stay intervals of layer indices, so a state is the set of layers
+# that begin a class.  Every layer-permutation orbit of multigraphs has
+# exactly one member this rule accepts.  Walk the pairs in colex order and
+# permute the layers inside each class so that the chosen ones come first:
+# earlier pairs do not change, since a class agrees on them, so some member
+# is accepted.  A layer permutation between two accepted members maps every
+# final class to itself, and the layers of a final class are identical, so
+# the two members are equal.
 #
 # Vertex-order floors tighten that budget rank by rank.  Colex order assigns
 # all C(k,2) pairs inside the first k vertices before any other pair, and a
@@ -276,26 +304,52 @@ def f5_lower_constructions(n: int) -> tuple[tuple[PMultigraph, int], tuple[PMult
 # vertex order whose first k vertices span at least L_k edges (L_n = T,
 # L_{k-1} = ceil((k-2) L_k / k); see the module docstring).  So while the pair
 # of rank t is assigned, the deficit used may not exceed p C(k,2) - L_k for
-# any k with t < C(k,2).  Relabelling vertices and permuting layers act
-# independently, so the layer-prefix symmetry breaking stays valid.
+# any k with t < C(k,2).  Layer permutations keep the edge total of every
+# vertex subset, so the accepted member of an orbit meets the same floors.
 # ---------------------------------------------------------------------------
 
 _CORE_RANKS = ((0, 5), (1, 4), (3, 2))  # matching slots among ranks 0..5
 
 
-def _combo_table(p: int) -> tuple[list, list[list[int]]]:
-    """Ordered (mask1, mask2) combos sorted by deficit, and masks by deficit."""
+def _combo_table(p: int) -> list[tuple[int, int, int, int]]:
+    """Ordered (deficit, mask1, mask2, mask1 & mask2) combos sorted by deficit."""
     full = (1 << p) - 1
-    masks_by_deficit: list[list[int]] = [[] for _ in range(p + 1)]
-    for m in range(full + 1):
-        masks_by_deficit[p - m.bit_count()].append(m)
     combos = []
     for m1 in range(full + 1):
         for m2 in range(full + 1):
             d = 2 * p - m1.bit_count() - m2.bit_count()
             combos.append((d, m1, m2, m1 & m2))
     combos.sort()
-    return combos, masks_by_deficit
+    return combos
+
+
+def _class_step(p: int, starts: int, mask: int) -> int | None:
+    """The layer-class state after assigning mask, or None if mask is not allowed.
+
+    starts has bit i set, for 0 < i < p, when layer index i begins a class;
+    the state 0 is the single class of all p layers.  mask is allowed when no
+    layer it takes follows, inside its class, a layer it leaves out.
+    """
+    if mask & ~(mask << 1) & ~starts & ~1:
+        return None
+    return starts | ((mask << 1) & ~mask & ((1 << p) - 1))
+
+
+def _class_options(p: int) -> list[list[tuple[int, list]]]:
+    """Per-deficit (mask, child options) lists for the start state of _class_step.
+
+    Entry d of a state's options lists its allowed masks with p - d layers,
+    in ascending order, each with the options of its child state.  The states
+    are the 2^(p-1) sets of class starts, 16 for p = 5.
+    """
+    states = range(0, 1 << p, 2)
+    options = {starts: [[] for _ in range(p + 1)] for starts in states}
+    for starts in states:
+        for mask in range(1 << p):
+            child = _class_step(p, starts, mask)
+            if child is not None:
+                options[starts][p - mask.bit_count()].append((mask, options[child]))
+    return options[0]
 
 
 def _quad_descriptors(n: int) -> list[list[tuple[int, int, int, int, int]]]:
@@ -348,11 +402,11 @@ def max_edges_no_crossing(
 
     Seeded with the matching construction, then proves optimality by branch
     and bound over per-pair deficits, capped rank by rank by vertex-order
-    floors.  Supported: p = 4 with 3 <= n <= 9, and p = 5 with 3 <= n <= 6;
-    p = 5 with n = 7 or 8 takes tens of seconds and must be requested with
-    long_run=True.  Raises CapabilityError carrying best_found when the node
-    budget runs out or a long run is needed, and ParameterError for a node
-    budget below 1.
+    floors, over one member of each layer-permutation orbit.  Supported:
+    p = 4 with 3 <= n <= 9, and p = 5 with 3 <= n <= 6; p = 5 with n = 7 or 8
+    must be requested with long_run=True.  Raises CapabilityError carrying
+    best_found when the node budget runs out or a long run is needed, and
+    ParameterError for a node budget below 1.
     """
     if node_budget < 1:
         raise ParameterError(f"node budget must be at least 1, got {node_budget}")
@@ -378,10 +432,8 @@ def max_edges_no_crossing(
         raise AssertionError("seed construction must be crossing-free")
 
     npairs = comb(n, 2)
-    _, masks_by_deficit = _combo_table(p)
     quads_at = _quad_descriptors(n)
-    sdr = _sdr_table(p)
-    prefixes = frozenset((1 << k) - 1 for k in range(1, p + 1))
+    sdr = _sdr_table()
 
     best = seed_total
     best_graph = seed_graph
@@ -390,7 +442,7 @@ def max_edges_no_crossing(
     S = [0] * npairs
     nodes = 0
 
-    def extend(t: int, deficit_used: int, seen_nonempty: bool) -> None:
+    def extend(t: int, deficit_used: int, options: list) -> None:
         nonlocal best, best_graph, nodes
         if t == npairs:
             total = cap - deficit_used
@@ -403,9 +455,7 @@ def max_edges_no_crossing(
             return
         checks = quads_at[t]
         for d in range(min(budget, p) + 1):
-            for mask in masks_by_deficit[d]:
-                if mask and not seen_nonempty and mask not in prefixes:
-                    continue
+            for mask, child in options[d]:
                 ok = True
                 for r_ab, r_ax, r_by, r_bx, r_ay in checks:
                     if sdr[S[r_ab] & mask][S[r_ax] & S[r_by]][S[r_ay] & S[r_bx]]:
@@ -418,10 +468,10 @@ def max_edges_no_crossing(
                             f"node budget {node_budget} exhausted", best_found=best
                         )
                     S[t] = mask
-                    extend(t + 1, deficit_used + d, seen_nonempty or bool(mask))
+                    extend(t + 1, deficit_used + d, child)
         S[t] = 0
 
-    extend(0, 0, False)
+    extend(0, 0, _class_options(p))
 
     if has_three_crossing_pairs(best_graph) is not None:
         raise AssertionError("search produced a crossing witness in its own optimum")
@@ -474,8 +524,8 @@ def verify_lemma_4vertex(*, seed: int = 0) -> Certificate:
     space = (1 << (2 * p)) ** 3
     run = ClaimRun("lemma-4vertex", space, seed)
     cutoff = 2 * 3 * p - min(min_sum, full_pair)
-    combos, _ = _combo_table(p)
-    sdr = _sdr_table(p)
+    combos = _combo_table(p)
+    sdr = _sdr_table()
     ncombos = len(combos)
     # ends[k]: the number of combos with deficit <= k, as C(2p, d) have deficit d
     ends = list(accumulate(comb(2 * p, d) for d in range(2 * p + 1)))

@@ -688,7 +688,9 @@ class Claim:
 
     The verifier is looked up in this module by name when the claim runs, so
     a wrapper installed on that module attribute (a profiler's or a test's)
-    sees the call.  Only long-run claims take long_run and checkpoint_path.
+    sees the call.  Only long-run claims take long_run and checkpoint_path,
+    and without long_run they raise CapabilityError before any work, so the
+    command line asks them first.
     """
 
     id: str

@@ -177,6 +177,30 @@ def test_verify_long_run_gate(capsys):
     assert "capability" in capsys.readouterr().err
 
 
+def test_verify_gate_stops_before_any_claim_runs(monkeypatch, capsys):
+    def never(**kwargs):
+        raise AssertionError("a claim ran before the long-run gate")
+
+    monkeypatch.setattr(search, "verify_lemma_n7", never)
+    monkeypatch.setattr(search, "verify_lemma_4vertex", never)
+    assert main(["verify", "lemma-n7", "lemma-4vertex", "ex-8"]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "capability: ex-8: the 8-vertex scan is gated behind long_run\n"
+    assert captured.out == ""
+
+
+def test_verify_checkpoint_without_a_long_run_claim_is_noted(tmp_path, capsys):
+    path = tmp_path / "cp.ckpt"
+    assert main(["verify", "fact-2-4", "--format", "json"]) == 0
+    plain = capsys.readouterr()
+    assert plain.err == ""
+    assert main(["verify", "fact-2-4", "--format", "json", "--checkpoint", str(path)]) == 0
+    noted = capsys.readouterr()
+    assert noted.err == "note: --checkpoint is unused: only ex-8 writes one\n"
+    assert _strip_elapsed(noted.out) == _strip_elapsed(plain.out)
+    assert not path.exists()
+
+
 def test_verify_all_is_deterministic_modulo_elapsed(capsys):
     assert main(["verify", "all", "--seed", "42", "--jobs", "1", "--format", "json"]) == 0
     first = capsys.readouterr().out

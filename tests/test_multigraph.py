@@ -3,7 +3,7 @@
 import json
 import random
 import time
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from math import comb
 
 import pytest
@@ -253,7 +253,8 @@ def test_exact_search_largest_four_layer_instance():
         assert 4 * value <= _f5_upper_scaled(n)
         assert value == g.edge_total()
         assert has_three_crossing_pairs(g) is None
-    # About 0.5 s of CPU time; without the vertex-order floors (4, 6) alone took 86 s.
+    # About 0.03 s of CPU time, so the bound catches a search that loses its
+    # vertex-order floors or its layer classes.
     assert time.process_time() - start < 10
 
 
@@ -285,6 +286,65 @@ def test_exact_search_reaches_the_maximum_from_a_weaker_seed(monkeypatch, shortf
         value, g = max_edges_no_crossing(p, n)
         assert value == want == g.edge_total()
         assert has_three_crossing_pairs(g) is None
+
+
+def _class_rule_accepts(options, p, seq):
+    """Walk the search's (mask, child options) table along a mask sequence."""
+    for mask in seq:
+        child = dict(options[p - mask.bit_count()]).get(mask)
+        if child is None:
+            return False
+        options = child
+    return True
+
+
+@pytest.mark.parametrize("p, length", ((3, 4), (4, 3), (5, 2)))
+def test_layer_class_rule_accepts_one_image_per_orbit(p, length):
+    # Exactly one layer-permuted image of every mask sequence is accepted:
+    # at least one, or some multigraphs would be missed, and at most one, or
+    # the symmetry is only partly broken.
+    options = multigraph._class_options(p)
+    relabel = [
+        [sum(1 << perm[l] for l in range(p) if m >> l & 1) for m in range(1 << p)]
+        for perm in permutations(range(p))
+    ]
+    seen = set()
+    for seq in product(range(1 << p), repeat=length):
+        if seq in seen:
+            continue
+        orbit = {tuple(image[m] for m in seq) for image in relabel}
+        seen |= orbit
+        accepted = [s for s in orbit if _class_rule_accepts(options, p, s)]
+        assert len(accepted) == 1, (seq, accepted)
+    assert len(seen) == (1 << p) ** length
+
+
+def test_sdr_table_matches_sdr3():
+    sdr = multigraph._sdr_table()
+    for a in range(32):
+        for b in range(32):
+            row = sdr[a][b]
+            for c in range(32):
+                assert row[c] == _sdr3(a, b, c)
+    assert len({id(row) for rows in sdr for row in rows}) == 119
+
+
+@pytest.mark.parametrize("p, n, nodes, want", ((4, 5, 446, 32), (5, 5, 799, 40)))
+def test_exact_search_node_counts_at_the_budget_boundary(p, n, nodes, want):
+    # The seed is optimal, so the search expands the same nodes in any order.
+    with pytest.raises(CapabilityError) as info:
+        max_edges_no_crossing(p, n, node_budget=nodes - 1)
+    assert info.value.best_found == multigraph._seed_construction(p, n)[1]
+    assert max_edges_no_crossing(p, n, node_budget=nodes)[0] == want
+
+
+def test_exact_search_long_run_five_layer_maxima():
+    # f_5(7) and f_5(8): the seed construction is optimal, and about 1.7 s.
+    for n, want in ((7, 80), (8, 105)):
+        value, g = max_edges_no_crossing(5, n, long_run=True)
+        assert value == want == g.edge_total()
+        assert g == multigraph._seed_construction(5, n)[0]
+        assert 4 * value <= _f5_upper_scaled(n)
 
 
 def test_exact_search_validation_and_gates():
@@ -363,8 +423,8 @@ def _lemma_4vertex_by_plain_scan(seed):
     space = (1 << (2 * p)) ** 3
     run = ClaimRun("lemma-4vertex", space, seed)
     cutoff = 2 * 3 * p - min(min_sum, full_pair)
-    combos, _ = multigraph._combo_table(p)
-    sdr = multigraph._sdr_table(p)
+    combos = multigraph._combo_table(p)
+    sdr = multigraph._sdr_table()
     ncombos = len(combos)
     accounted = space - sum(comb(6 * p, k) for k in range(cutoff + 1))
     scanned = n_cross = n_free = n_min_sum = n_full_pair = 0
