@@ -198,19 +198,18 @@ def _search(h: Hypergraph, seeded: bool = False) -> tuple[list[int], int] | None
             # Giving u label k adds pair (i, k) to the chunk of each vertex in
             # thirds[u][label i].
             row = thirds[u]
-            splits = [(row[v], top >> i) for i, v in enumerate(assigned)]
             if tied and not last:
                 # The child's first cell: the first other cell, narrowed by
-                # the splits.  If its chunk is below best[k + 1] the child
+                # those masks.  If its chunk is below best[k + 1] the child
                 # loses at its first candidate.
                 first = 1 if cell == low else 0
                 fc, fm = cells[first]
                 lc, lm = fc, fm & ~low
-                for t, b in splits:
-                    hit = lm & t
+                for i, v in enumerate(assigned):
+                    hit = lm & row[v]
                     if hit:
                         lm = hit
-                        lc |= b
+                        lc |= top >> i
                 if lc < best[k + 1]:
                     done[u] = (version, 0)
                     continue
@@ -218,15 +217,15 @@ def _search(h: Hypergraph, seeded: bool = False) -> tuple[list[int], int] | None
                     # That cell is one vertex, the child's only candidate, so
                     # run its lookahead too: the child's second cell (the rest
                     # of the first other cell, else the next cell), narrowed
-                    # by the splits and then by the masks of label k + 1.
+                    # by the masks of label k and then by those of label k + 1.
                     sc, sm = fc, fm & ~(low | lm)
                     if not sm:
                         sc, sm = cells[first + 1]
-                    for t, b in splits:
-                        hit = sm & t
+                    for i, v in enumerate(assigned):
+                        hit = sm & row[v]
                         if hit:
                             sm = hit
-                            sc |= b
+                            sc |= top >> i
                     row2 = thirds[lm.bit_length() - 1]
                     top2 = 1 << (_TOP - (k + 1) * k // 2)
                     for i, v in enumerate(assigned + [u]):
@@ -242,9 +241,18 @@ def _search(h: Hypergraph, seeded: bool = False) -> tuple[list[int], int] | None
                 m &= ~low
                 if not m:
                     continue
-                parts = [(cv, m)]
-                for t, b in splits:
+                parts = None  # while None, the cell is still whole: (cv, m)
+                for i, v in enumerate(assigned):
+                    t = row[v]
                     if t & m:
+                        b = top >> i
+                        if parts is None:
+                            hit = m & t
+                            if hit == m:
+                                cv |= b
+                            else:
+                                parts = [(cv | b, hit), (cv, m ^ hit)]
+                            continue
                         nxt = []
                         for pc, pm in parts:
                             hit = pm & t
@@ -255,7 +263,10 @@ def _search(h: Hypergraph, seeded: bool = False) -> tuple[list[int], int] | None
                             else:
                                 nxt.append((pc, pm))
                         parts = nxt
-                child += parts
+                if parts is None:
+                    child.append((cv, m))
+                else:
+                    child += parts
             ver0, aut0 = version, aut
             assigned.append(u)
             path.append(c)

@@ -1,8 +1,10 @@
 """Fano plane containment by three independent detection methods.
 
-The methods share nothing beyond edge membership, read from the per-pair
-third-vertex masks of ``Hypergraph.thirds``, so they cross-validate each
-other:
+The methods share nothing beyond edge membership, so they cross-validate
+each other.  They read it through the views ``Hypergraph.edges``,
+``Hypergraph.thirds`` (per-pair third-vertex masks) and ``Hypergraph.links``
+(per-vertex link pairs).  Each view is built once per edge set and kept in a
+small cache, so running every method on one input builds each view once:
 
 * ``embedding``       - injective point map built line by line with forward
                         checking, trying each edge as the first line in one
@@ -16,7 +18,9 @@ other:
 
 Each detector returns the seven edges of the copy it found, as sorted
 triples, or None; find_fano_edges picks the detector for a method.  So
-soundness is checkable edge by edge.
+soundness is checkable edge by edge.  A detector's scan finds the copy's
+seven points, and contains_fano_* runs the scan alone, without naming the
+lines.
 
 For enumeration hot loops there is also a containment test based on
 precomputed plane images, kept per vertex count in one cached CoverTable: a
@@ -35,7 +39,7 @@ from math import comb
 from operator import or_
 
 from .errors import CapabilityError, ParameterError
-from .hypergraph import FANO_LINES, Hypergraph, _members, complement, triple_rank
+from .hypergraph import FANO_LINES, Hypergraph, triple_rank
 
 IMAGE_CAP = 12
 
@@ -104,9 +108,19 @@ def cover_table(n: int) -> CoverTable:
 
 
 def contains_fano_cover(h: Hypergraph) -> bool:
-    """Image-table containment test: some plane copy is a subset of the edges."""
+    """Image-table containment test: some plane copy is a subset of the edges.
+
+    Walks the non-edges and stops once they hit every image.
+    """
     table = cover_table(h.n)
-    return table.cover(complement(h).ranks()) != table.full
+    masks, full = table.masks, table.full
+    cov = 0
+    missing = ~h.bits & ((1 << len(masks)) - 1)
+    while missing and cov != full:
+        low = missing & -missing
+        missing ^= low
+        cov |= masks[low.bit_length() - 1]
+    return cov != full
 
 
 # ---------------------------------------------------------------------------
@@ -126,18 +140,19 @@ def find_clique(h: Hypergraph, k: int) -> tuple[int, ...] | None:
 
 
 # ---------------------------------------------------------------------------
-# Method 1: direct embedding.
+# Witnesses.  Each detector's scan returns the seven points of the copy it
+# found, and its find_ function names the lines through a table of point
+# indices; contains_ only asks whether the scan found a copy.
 # ---------------------------------------------------------------------------
 
-def _link_pairs(n: int, edges) -> list[list[tuple[int, int]]]:
-    """links[v]: the pairs {x, y}, as x < y, with {v, x, y} among the sorted edges."""
-    out: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for a, b, c in edges:
-        out[a].append((b, c))
-        out[b].append((a, c))
-        out[c].append((a, b))
-    return out
+def _lines(points: tuple[int, ...], table) -> tuple[tuple[int, int, int], ...]:
+    """The lines of table, index triples into points, as sorted vertex triples."""
+    return tuple(tuple(sorted((points[a], points[b], points[c]))) for a, b, c in table)
 
+
+# ---------------------------------------------------------------------------
+# Method 1: direct embedding.
+# ---------------------------------------------------------------------------
 
 def find_fano_embedding(h: Hypergraph) -> tuple[tuple[int, int, int], ...] | None:
     """The seven edges of an embedded plane copy, in FANO_LINES order, or None.
@@ -145,7 +160,9 @@ def find_fano_embedding(h: Hypergraph) -> tuple[tuple[int, int, int], ...] | Non
     Plane point k goes to vertex ik.  Lines are placed in the fixed order
     012, 234, 045, 036; the remaining lines 135, 256, 146 become pure
     membership checks, applied as early as their points are available
-    (forward checking) by intersecting per-pair third-vertex masks.
+    (forward checking) by intersecting per-pair third-vertex masks.  Since
+    thirds[u][w] never holds u or w, those intersections leave out every
+    point placed so far, apart from i2 among the candidates for i5.
 
     Each edge {a, b, c} (a < b < c) is tried as line 012 in one ordering
     only, (i0, i1, i2) = (a, b, c), and each link pair {x, y} of i2 (x < y)
@@ -161,37 +178,52 @@ def find_fano_embedding(h: Hypergraph) -> tuple[tuple[int, int, int], ...] | Non
     the witness, is the same.  On Fano-free inputs the search does 1/12 of
     the full scan's work.
     """
+    img = _embedding_points(h)
+    return None if img is None else _lines(img, FANO_LINES)
+
+
+def _embedding_points(h: Hypergraph) -> tuple[int, ...] | None:
+    """find_fano_embedding's scan: the points (i0, ..., i6) it places, or None."""
     if h.n < 7 or h.edge_count < 7:
         return None
-    edges = h.edges()
-    links = _link_pairs(h.n, edges)
+    links = h.links()
     thirds = h.thirds()
-    for i0, i1, i2 in edges:
+    for i0, i1, i2 in h.edges():
+        t0, t1, t2 = thirds[i0], thirds[i1], thirds[i2]
+        not2 = ~(1 << i2)
         for i3, i4 in links[i2]:
-            if i3 in (i0, i1) or i4 in (i0, i1):
+            if i3 == i0 or i3 == i1 or i4 == i0 or i4 == i1:
                 continue
-            used = 1 << i0 | 1 << i1 | 1 << i2 | 1 << i3 | 1 << i4
-            fives = thirds[i0][i4] & thirds[i1][i3] & ~used
+            fives = t0[i4] & t1[i3] & not2
+            if not fives:
+                continue
+            t36 = t0[i3] & t1[i4]
             while fives:  # ascending i5, as in colex order
                 low = fives & -fives
                 fives ^= low
                 i5 = low.bit_length() - 1
-                sixes = thirds[i0][i3] & thirds[i2][i5] & thirds[i1][i4] & ~(used | low)
+                sixes = t36 & t2[i5]
                 if sixes:
-                    i6 = (sixes & -sixes).bit_length() - 1
-                    img = (i0, i1, i2, i3, i4, i5, i6)
-                    lines = [(img[u], img[v], img[w]) for u, v, w in FANO_LINES]
-                    return tuple(tuple(sorted(t)) for t in lines)
+                    return (i0, i1, i2, i3, i4, i5, (sixes & -sixes).bit_length() - 1)
     return None
 
 
 def contains_fano_embedding(h: Hypergraph) -> bool:
-    return find_fano_embedding(h) is not None
+    return _embedding_points(h) is not None
 
 
 # ---------------------------------------------------------------------------
 # Method 2: crossing pairs.
 # ---------------------------------------------------------------------------
+
+# With points (x, y, z, p, q, r, s), one table per bijection from the edge's
+# vertices to the quad's matchings pq|rs, pr|qs, ps|qr, in a fixed order.
+_MATCHINGS = (((3, 4), (5, 6)), ((3, 5), (4, 6)), ((3, 6), (4, 5)))
+_CROSSING_TABLES = tuple(
+    ((0, 1, 2), *((v, *pair) for v, mi in enumerate(pi) for pair in _MATCHINGS[mi]))
+    for pi in permutations(range(3))
+)
+
 
 def find_fano_crossing(h: Hypergraph) -> tuple[tuple[int, int, int], ...] | None:
     """The seven edges of the first (edge, quad, bijection) in scan order, or None.
@@ -203,47 +235,78 @@ def find_fano_crossing(h: Hypergraph) -> tuple[tuple[int, int, int], ...] | None
     vertices above p in the link masks thirds[x][p], thirds[y][p] and
     thirds[z][p], and the other pairs {b, c}, {a, c}, {a, b} must lie in the
     links of x, y, z.  The first p with such partners gives the least quad.
-    The first of the six bijections in a fixed order that fits it is
-    reported: the edge comes first, then for each of its vertices in turn
-    the two triples joining it to the quad matching its link covers.
+    (A p on the edge has no partners: thirds[u][u] is empty.)  Quads are
+    kept as vertex masks, and of two 3-sets the lex-smaller one holds the
+    least vertex of their symmetric difference, so for given a and b only
+    the least c counts.  The first of the six bijections in a fixed order
+    that fits the quad is reported: the edge comes first, then for each of
+    its vertices in turn the two triples joining it to the quad matching its
+    link covers.
     """
+    points = _crossing_points(h)
+    if points is None:
+        return None
+    thirds = h.thirds()
+    # The scan found a bijection, so some table fits.
+    table = next(
+        t for t in _CROSSING_TABLES
+        if all(thirds[points[v]][points[u]] >> points[w] & 1 for v, u, w in t[1:])
+    )
+    return _lines(points, table)
+
+
+def _crossing_points(h: Hypergraph) -> tuple[int, ...] | None:
+    """find_fano_crossing's scan: the edge and its least quad, (x, y, z, p, q, r, s), or None."""
     if h.n < 7:
         return None
     thirds = h.thirds()
-    for edge in h.edges():
-        x, y, z = edge
+    for x, y, z in h.edges():
         tx, ty, tz = thirds[x], thirds[y], thirds[z]
-        inside = 1 << x | 1 << y | 1 << z
+        outside = ~(1 << x | 1 << y | 1 << z)
         for p in range(h.n):
-            if inside >> p & 1:
-                continue
-            above = -(2 << p) & ~inside
-            a_set, b_set, c_set = tx[p] & above, ty[p] & above, tz[p] & above
+            above = -(2 << p) & outside
+            a_set = tx[p] & above
+            b_set = ty[p] & above
+            c_set = tz[p] & above
             if not (a_set and b_set and c_set):
                 continue
-            quads = []
-            for a in _members(a_set):
-                for b in _members(b_set & tz[a]):
-                    quads.extend(sorted((a, b, c)) for c in _members(c_set & tx[b] & ty[a]))
-            if not quads:
-                continue
-            q, r, s = min(quads)
-            matchings = (((p, q), (r, s)), ((p, r), (q, s)), ((p, s), (q, r)))
-            cov = [[all(thirds[v][u] >> w & 1 for u, w in m) for m in matchings] for v in edge]
-            for pi in ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)):
-                if cov[0][pi[0]] and cov[1][pi[1]] and cov[2][pi[2]]:
-                    lines = [(v, u, w) for v, mi in zip(edge, pi) for u, w in matchings[mi]]
-                    return (edge, *(tuple(sorted(t)) for t in lines))
+            best = 0  # the lex-least quad found, less p, as a vertex mask
+            while a_set:
+                la = a_set & -a_set
+                a_set ^= la
+                a = la.bit_length() - 1
+                b_of_a = b_set & tz[a]
+                c_of_a = c_set & ty[a]
+                while b_of_a:
+                    lb = b_of_a & -b_of_a
+                    b_of_a ^= lb
+                    cs = c_of_a & tx[lb.bit_length() - 1]
+                    if cs:
+                        quad = la | lb | cs & -cs
+                        d = quad ^ best
+                        if d & -d & quad:
+                            best = quad
+            if best:
+                lq = best & -best
+                rest = best ^ lq
+                return (x, y, z, p, lq.bit_length() - 1, (rest & -rest).bit_length() - 1,
+                        rest.bit_length() - 1)
     return None
 
 
 def contains_fano_crossing(h: Hypergraph) -> bool:
-    return find_fano_crossing(h) is not None
+    return _crossing_points(h) is not None
 
 
 # ---------------------------------------------------------------------------
 # Method 3: Pasch configurations over a link matching.
 # ---------------------------------------------------------------------------
+
+# With points (v, a1, a2, b1, b2, c1, c2): the three link edges through v,
+# then the even class a1 b1 c1, a1 b2 c2, a2 b1 c2, a2 b2 c1.  The odd class
+# is the even one with each pair's two ends swapped.
+_PASCH_LINES = ((0, 1, 2), (0, 3, 4), (0, 5, 6), (1, 3, 5), (1, 4, 6), (2, 3, 6), (2, 4, 5))
+
 
 def find_fano_pasch(h: Hypergraph) -> tuple[tuple[int, int, int], ...] | None:
     """The seven edges of the first (vertex, link matching, parity class), or None.
@@ -256,46 +319,62 @@ def find_fano_pasch(h: Hypergraph) -> tuple[tuple[int, int, int], ...] | None:
     and y = thirds[a1][b2] & thirds[a2][b1], outside the four, hold the c1
     and c2 that can close it: the even class needs c1 in x and c2 in y, the
     odd one c1 in y and c2 in x, so the pair is dropped unless both are
-    nonempty.
+    nonempty, and unless some link pair of v joins x and y: some c1 in x
+    has thirds[v][c1] meeting y.
     """
+    points = _pasch_points(h)
+    return None if points is None else _lines(points, _PASCH_LINES)
+
+
+def _pasch_points(h: Hypergraph) -> tuple[int, ...] | None:
+    """find_fano_pasch's scan: (v, a1, a2, b1, b2, c1, c2), pairs swapped for the odd class, or None."""
     if h.n < 7:
         return None
-    links = _link_pairs(h.n, h.edges())
+    links = h.links()
     thirds = h.thirds()
     for v in range(h.n):
         pairs = links[v]
         ln = len(pairs)
         if ln < 3:
             continue
-        for i in range(ln):
+        tv = thirds[v]
+        spans = [1 << p1 | 1 << p2 for p1, p2 in pairs]
+        for i in range(ln - 2):
             a1, a2 = pairs[i]
             ta1, ta2 = thirds[a1], thirds[a2]
-            for j in range(i + 1, ln):
-                b1, b2 = pairs[j]
-                if b1 in (a1, a2) or b2 in (a1, a2):
+            span_a = spans[i]
+            for j in range(i + 1, ln - 1):
+                if span_a & spans[j]:
                     continue
+                b1, b2 = pairs[j]
                 # The third vertices that close a1 b1 and a2 b2, and a1 b2 and
                 # a2 b1, outside the four.
-                outside = ~(1 << a1 | 1 << a2 | 1 << b1 | 1 << b2)
+                outside = ~(span_a | spans[j])
                 x = ta1[b1] & ta2[b2] & outside
+                if not x:
+                    continue
                 y = ta1[b2] & ta2[b1] & outside
-                if not (x and y):
+                if not y:
+                    continue
+                joins = x
+                while joins:
+                    low = joins & -joins
+                    if tv[low.bit_length() - 1] & y:
+                        break
+                    joins ^= low
+                else:
                     continue
                 for k in range(j + 1, ln):
                     c1, c2 = pairs[k]
                     if x >> c1 & 1 and y >> c2 & 1:
-                        quads = ((a1, b1, c1), (a1, b2, c2), (a2, b1, c2), (a2, b2, c1))
-                    elif y >> c1 & 1 and x >> c2 & 1:
-                        quads = ((a2, b2, c2), (a2, b1, c1), (a1, b2, c1), (a1, b1, c2))
-                    else:
-                        continue
-                    lines = ((v, a1, a2), (v, b1, b2), (v, c1, c2), *quads)
-                    return tuple(tuple(sorted(t)) for t in lines)
+                        return (v, a1, a2, b1, b2, c1, c2)
+                    if y >> c1 & 1 and x >> c2 & 1:
+                        return (v, a2, a1, b2, b1, c2, c1)
     return None
 
 
 def contains_fano_pasch(h: Hypergraph) -> bool:
-    return find_fano_pasch(h) is not None
+    return _pasch_points(h) is not None
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,10 @@ Hypergraph.ranks and complement() convert rank sets, masks and complements
 for the other modules.  Vertex pairs (the layers of a multigraph) use the
 analogous pair rank ``C(b, 2) + a``.
 
-All values are immutable; operations return new objects.
+All values are immutable; operations return new objects.  The derived views
+of an edge set (its edges, per-pair third-vertex masks and per-vertex link
+pairs) are built by module functions cached on ``(n, bits)``, so the tests
+run back to back on one input build each view once.
 """
 
 from __future__ import annotations
@@ -33,6 +36,12 @@ MAX_VERTICES = 64
 def _triples(n: int) -> tuple[tuple[int, int, int], ...]:
     """The triples on n vertices in colex order, so entry r has rank r."""
     return tuple((a, b, c) for c in range(2, n) for b in range(1, c) for a in range(b))
+
+
+@lru_cache(maxsize=None)
+def _pairs(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """pairs[y][x] is the pair (x, y), x < y < n, one shared tuple per pair."""
+    return tuple(tuple((x, y) for x in range(y)) for y in range(n))
 
 
 def triple_rank(a: int, b: int, c: int) -> int:
@@ -60,9 +69,62 @@ def _check_n(n: int) -> None:
         raise CapabilityError(f"vertex count {n} exceeds the supported maximum {MAX_VERTICES}")
 
 
+# One input's Fano tests, or its canonical search and relabeling, run back to
+# back, so two entries per view suffice.  Views are not kept on the object,
+# since a caller holding many inputs would keep all their views alive.
+_VIEWS = 2
+
+
+@lru_cache(maxsize=_VIEWS)
+def _edges(n: int, bits: int) -> tuple[tuple[int, int, int], ...]:
+    """The edges of the edge mask bits as sorted triples, in colex order."""
+    triples = _triples(n)
+    out = []
+    while bits:
+        low = bits & -bits
+        out.append(triples[low.bit_length() - 1])
+        bits ^= low
+    return tuple(out)
+
+
+@lru_cache(maxsize=_VIEWS)
+def _thirds(n: int, bits: int) -> tuple[tuple[int, ...], ...]:
+    """Row u, entry w: the mask of the vertices c with {u, w, c} an edge."""
+    out = [[0] * n for _ in range(n)]
+    for a, b, c in _edges(n, bits):
+        oa, ob, oc = out[a], out[b], out[c]
+        ma, mb, mc = 1 << a, 1 << b, 1 << c
+        oa[b] |= mc
+        ob[a] |= mc
+        oa[c] |= mb
+        oc[a] |= mb
+        ob[c] |= ma
+        oc[b] |= ma
+    return tuple(map(tuple, out))
+
+
+@lru_cache(maxsize=_VIEWS)
+def _links(n: int, bits: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Row v: the pairs (x, y), x < y, with {v, x, y} an edge, in colex edge order."""
+    pairs = _pairs(n)
+    out: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for a, b, c in _edges(n, bits):
+        below_c = pairs[c]
+        out[a].append(below_c[b])
+        out[b].append(below_c[a])
+        out[c].append(pairs[b][a])
+    return tuple(map(tuple, out))
+
+
 @dataclass(frozen=True, slots=True)
 class Hypergraph:
-    """A 3-uniform hypergraph: vertex count plus a colex-rank edge bitmask."""
+    """A 3-uniform hypergraph: vertex count plus a colex-rank edge bitmask.
+
+    edges(), thirds() and links() are views of the edge set.  Each is built
+    once per (n, bits) and kept in a shared cache that holds two edge sets,
+    and each is a tuple of tuples, so no caller can change what the next
+    caller reads.
+    """
 
     n: int
     bits: int
@@ -76,7 +138,9 @@ class Hypergraph:
     def from_edges(cls, n: int, edges) -> "Hypergraph":
         bits = 0
         for e in edges:
-            a, b, c = sorted(e)
+            a, b, c = e
+            if not a < b < c:
+                a, b, c = sorted((a, b, c))
             if not (0 <= a < b < c < n):
                 raise ParameterError(f"edge {tuple(e)} is not a triple of distinct vertices below {n}")
             bits |= 1 << triple_rank(a, b, c)
@@ -106,20 +170,15 @@ class Hypergraph:
 
     def edges(self) -> tuple[tuple[int, int, int], ...]:
         """All edges as sorted triples, in colex order."""
-        triples = _triples(self.n)
-        return tuple(triples[r] for r in self.ranks())
+        return _edges(self.n, self.bits)
 
-    def thirds(self) -> list[list[int]]:
+    def thirds(self) -> tuple[tuple[int, ...], ...]:
         """thirds[u][w]: the bitmask of the vertices c with {u, w, c} an edge."""
-        out = [[0] * self.n for _ in range(self.n)]
-        for a, b, c in self.edges():
-            out[a][b] |= 1 << c
-            out[b][a] |= 1 << c
-            out[a][c] |= 1 << b
-            out[c][a] |= 1 << b
-            out[b][c] |= 1 << a
-            out[c][b] |= 1 << a
-        return out
+        return _thirds(self.n, self.bits)
+
+    def links(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """links[v]: the pairs (x, y), x < y, with {v, x, y} an edge, in colex edge order."""
+        return _links(self.n, self.bits)
 
     def has_edge(self, a: int, b: int, c: int) -> bool:
         a, b, c = sorted((a, b, c))

@@ -163,20 +163,29 @@ def _sdr_table() -> tuple:
     _sdr3 does not depend on the layer count, so one table serves p = 4 and
     p = 5.  A row sdr[a][b] depends on a only when a has fewer than two
     layers, on b likewise, and on a | b only when it has fewer than three;
-    so the 1024 rows share 119 distinct tuples, and only those are computed.
+    so the 1024 rows share 119 distinct tuples, and only those are computed,
+    with _sdr3's tests on a popcount table.
     """
     size = 1 << 5
+    ones = [m.bit_count() for m in range(size)]
     rows: dict[tuple, tuple] = {}
 
     def row(a: int, b: int) -> tuple:
         key = (
-            a if a.bit_count() < 2 else -1,
-            b if b.bit_count() < 2 else -1,
-            a | b if (a | b).bit_count() < 3 else -1,
+            a if ones[a] < 2 else -1,
+            b if ones[b] < 2 else -1,
+            a | b if ones[a | b] < 3 else -1,
         )
         r = rows.get(key)
         if r is None:
-            r = rows[key] = tuple(_sdr3(a, b, c) for c in range(size))
+            if a and b and ones[a | b] > 1:
+                r = tuple(
+                    c != 0 and ones[a | c] > 1 and ones[b | c] > 1 and ones[a | b | c] > 2
+                    for c in range(size)
+                )
+            else:
+                r = (False,) * size
+            rows[key] = r
         return r
 
     return tuple(tuple(row(a, b) for b in range(size)) for a in range(size))
@@ -335,12 +344,15 @@ def _class_step(p: int, starts: int, mask: int) -> int | None:
     return starts | ((mask << 1) & ~mask & ((1 << p) - 1))
 
 
+@lru_cache(maxsize=None)
 def _class_options(p: int) -> list[list[tuple[int, list]]]:
     """Per-deficit (mask, child options) lists for the start state of _class_step.
 
     Entry d of a state's options lists its allowed masks with p - d layers,
     in ascending order, each with the options of its child state.  The states
-    are the 2^(p-1) sets of class starts, 16 for p = 5.
+    are the 2^(p-1) sets of class starts, 16 for p = 5.  Built once per p;
+    callers only read it (a state can be its own child, so the lists cannot
+    become tuples).
     """
     states = range(0, 1 << p, 2)
     options = {starts: [[] for _ in range(p + 1)] for starts in states}
@@ -420,7 +432,7 @@ def max_edges_no_crossing(
         )
     if p == 5 and n > 6 and not long_run:
         raise CapabilityError(
-            f"the (5, {n}) search takes tens of seconds and is gated behind long_run",
+            f"the (5, {n}) search is gated behind long_run",
             best_found=_seed_construction(p, n)[1],
         )
 

@@ -288,7 +288,7 @@ def test_multigraph_search_and_gate(capsys):
     assert payload["max_edges"] == 20
     assert main(["multigraph", "search", "--p", "5", "--n", "7"]) == 3
     err = capsys.readouterr().err
-    assert "best_found=80" in err
+    assert err == "capability: the (5, 7) search is gated behind long_run (best_found=80)\n"
     # a budget below 1 is bad usage, not a capability limit
     for n in ("3", "4"):
         assert main(["multigraph", "search", "--p", "4", "--n", n, "--node-budget", "-5"]) == 2

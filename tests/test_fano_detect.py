@@ -30,6 +30,7 @@ from fanoturan.fano import (
 from fanoturan.hypergraph import (
     FANO_LINES,
     Hypergraph,
+    _members,
     complement,
     construct,
     random_hypergraph,
@@ -78,6 +79,96 @@ def test_cover_method_agrees_with_embedding_on_1000_samples():
         h = random_hypergraph(8, 0.3 + 0.6 * (i % 100) / 99, rng)
         assert contains_fano_cover(h) == contains_fano_embedding(h)
     assert not contains_fano_cover(construct("complete", 6))  # no images below 7 vertices
+
+
+def _crossing_by_sorted_quads(h):
+    """find_fano_crossing listing every quad of a vertex p as a sorted triple and taking the least."""
+    if h.n < 7:
+        return None
+    thirds = h.thirds()
+    for edge in h.edges():
+        x, y, z = edge
+        tx, ty, tz = thirds[x], thirds[y], thirds[z]
+        inside = 1 << x | 1 << y | 1 << z
+        for p in range(h.n):
+            if inside >> p & 1:
+                continue
+            above = -(2 << p) & ~inside
+            quads = [
+                sorted((a, b, c))
+                for a in _members(tx[p] & above)
+                for b in _members(ty[p] & above & tz[a])
+                for c in _members(tz[p] & above & tx[b] & ty[a])
+            ]
+            if not quads:
+                continue
+            q, r, s = min(quads)
+            matchings = (((p, q), (r, s)), ((p, r), (q, s)), ((p, s), (q, r)))
+            cov = [[all(thirds[v][u] >> w & 1 for u, w in m) for m in matchings] for v in edge]
+            for pi in permutations(range(3)):
+                if all(cov[i][pi[i]] for i in range(3)):
+                    lines = [(v, u, w) for v, mi in zip(edge, pi) for u, w in matchings[mi]]
+                    return (edge, *(tuple(sorted(t)) for t in lines))
+    return None
+
+
+def _pasch_by_pair_prefilter(h):
+    """find_fano_pasch with only the nonempty-x-and-y prefilter and tuple membership."""
+    if h.n < 7:
+        return None
+    links = [[] for _ in range(h.n)]  # in edge order, as the detector lists them
+    for a, b, c in h.edges():
+        links[a].append((b, c))
+        links[b].append((a, c))
+        links[c].append((a, b))
+    thirds = h.thirds()
+    for v in range(h.n):
+        pairs = links[v]
+        for i, (a1, a2) in enumerate(pairs):
+            for j in range(i + 1, len(pairs)):
+                b1, b2 = pairs[j]
+                if b1 in (a1, a2) or b2 in (a1, a2):
+                    continue
+                outside = ~(1 << a1 | 1 << a2 | 1 << b1 | 1 << b2)
+                x = thirds[a1][b1] & thirds[a2][b2] & outside
+                y = thirds[a1][b2] & thirds[a2][b1] & outside
+                if not (x and y):
+                    continue
+                for c1, c2 in pairs[j + 1:]:
+                    if x >> c1 & 1 and y >> c2 & 1:
+                        quads = ((a1, b1, c1), (a1, b2, c2), (a2, b1, c2), (a2, b2, c1))
+                    elif y >> c1 & 1 and x >> c2 & 1:
+                        quads = ((a2, b2, c2), (a2, b1, c1), (a1, b2, c1), (a1, b1, c2))
+                    else:
+                        continue
+                    lines = ((v, a1, a2), (v, b1, b2), (v, c1, c2), *quads)
+                    return tuple(tuple(sorted(t)) for t in lines)
+    return None
+
+
+def _cover_by_complement(h):
+    """contains_fano_cover as the cover of all the complement's ranks."""
+    table = cover_table(h.n)
+    return table.cover(complement(h).ranks()) != table.full
+
+
+def test_detectors_match_plain_loops_on_seeded_inputs():
+    # witnesses and verdicts must not depend on the shared views, the mask
+    # tests or the early exits
+    rng = random.Random(31)
+    inputs = [construct("complete", n) for n in range(1, 8)] + [Hypergraph(n, 0) for n in range(1, 8)]
+    inputs += [random_hypergraph(6 + i % 6, i // 6 % 21 / 20, rng) for i in range(2016)]
+    found = 0
+    for h in inputs:
+        want = _embedding_all_orderings(h)
+        assert find_fano_embedding(h) == want, h
+        assert find_fano_crossing(h) == _crossing_by_sorted_quads(h), h
+        assert find_fano_pasch(h) == _pasch_by_pair_prefilter(h), h
+        assert contains_fano_cover(h) == _cover_by_complement(h) == (want is not None), h
+        assert contains_fano_embedding(h) == contains_fano_crossing(h) == contains_fano_pasch(h) == (want is not None), h
+        found += want is not None
+    assert 500 < found < len(inputs) - 500  # inputs of both kinds
+    assert not contains_fano_cover(construct("complete", 6))
 
 
 def _cover_images(n):

@@ -106,6 +106,60 @@ def test_hypergraph_edge_roundtrip_and_membership():
             assert h.has_edge(*t)
 
 
+def _views_by_combinations(h):
+    """edges(), thirds() and links() rebuilt from itertools.combinations."""
+    n = h.n
+    edges = [t for t in combinations(range(n), 3) if h.bits >> triple_rank(*t) & 1]
+    edges.sort(key=lambda t: triple_rank(*t))
+    thirds = [[0] * n for _ in range(n)]
+    links = [[] for _ in range(n)]
+    for t in edges:
+        for v in t:
+            x, y = (u for u in t if u != v)
+            thirds[x][y] |= 1 << v
+            thirds[y][x] |= 1 << v
+            links[v].append((x, y))
+    return (
+        tuple(edges),
+        tuple(tuple(row) for row in thirds),
+        tuple(tuple(pairs) for pairs in links),
+    )
+
+
+def test_shared_views_match_a_combinations_build():
+    rng = random.Random(23)
+    for i in range(200):
+        n = 3 + i % 10
+        h = random_hypergraph(n, rng.random(), rng)
+        views = (h.edges(), h.thirds(), h.links())
+        assert views == _views_by_combinations(h), h
+        # immutable all the way down, so no caller can change a cached view
+        assert type(views[0]) is tuple and all(type(t) is tuple for t in views[0])
+        for view in views[1:]:
+            assert type(view) is tuple and all(type(row) is tuple for row in view)
+        assert all(type(p) is tuple for row in views[2] for p in row)
+        assert (h.edges(), h.thirds(), h.links()) == views  # a cache hit
+
+
+def test_equal_bits_on_different_vertex_counts_get_their_own_views():
+    bits = Hypergraph.from_edges(7, [(0, 1, 2), (2, 3, 6)]).bits
+    small, large = Hypergraph(7, bits), Hypergraph(8, bits)
+    for h in (small, large, small, large):
+        assert (h.edges(), h.thirds(), h.links()) == _views_by_combinations(h)
+        assert len(h.thirds()) == len(h.links()) == h.n
+
+
+def test_from_edges_sorts_each_triple_and_keeps_its_error_text():
+    rng = random.Random(29)
+    h = random_hypergraph(9, 0.5, rng)
+    shuffled = [rng.sample(t, 3) for t in h.edges()]
+    assert Hypergraph.from_edges(9, shuffled) == h
+    for bad in ([2, 1, 1], (0, 1, 9), [3, -1, 2]):
+        with pytest.raises(ParameterError) as info:
+            Hypergraph.from_edges(9, [bad])
+        assert str(info.value) == f"edge {tuple(bad)} is not a triple of distinct vertices below 9"
+
+
 def test_complement_is_an_involution():
     rng = random.Random(5)
     for _ in range(40):

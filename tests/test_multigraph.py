@@ -365,6 +365,7 @@ def test_exact_search_validation_and_gates():
     assert max_edges_no_crossing(5, 6)[0] == 60
     with pytest.raises(CapabilityError) as info:
         max_edges_no_crossing(5, 7)
+    assert str(info.value) == "the (5, 7) search is gated behind long_run"
     assert info.value.best_found == 80 == max(t for _, t in f5_lower_constructions(7))
     with pytest.raises(CapabilityError) as info:
         max_edges_no_crossing(4, 5, node_budget=50)
