@@ -57,6 +57,8 @@ finished subtree on the best leaf's side of that node onto the current one,
 so the search returns to that node at once.  At each node, a candidate in
 the same orbit as a finished sibling, under the automorphisms found so far
 that fix the assigned labels, has an isomorphic subtree and is skipped.
+The node keeps those orbits in a union-find and merges each automorphism
+into it once, when the automorphism joins the node's list.
 Either way the skipped subtree is credited with the tied leaves counted in
 its finished image, and only while best has not changed since, which keeps
 |Aut| exact (McKay and Piperno, "Practical Graph Isomorphism II", 2014).
@@ -73,7 +75,7 @@ from functools import lru_cache
 from math import comb, factorial
 
 from .errors import CapabilityError, ParameterError
-from .hypergraph import Hypergraph
+from .hypergraph import Hypergraph, triple_rank
 
 CANONICAL_CAP = 12
 
@@ -84,26 +86,30 @@ _TOP = comb(CANONICAL_CAP - 1, 2) - 1
 def relabel(h: Hypergraph, perm) -> Hypergraph:
     """Apply the relabeling v -> perm[v] to every edge."""
     perm = tuple(perm)
-    if sorted(perm) != list(range(h.n)):
+    if any(type(v) is not int for v in perm) or sorted(perm) != list(range(h.n)):
         raise ParameterError(f"perm must be a permutation of range({h.n})")
-    return Hypergraph.from_edges(h.n, [(perm[a], perm[b], perm[c]) for a, b, c in h.edges()])
+    # perm sends each edge to a triple of distinct vertices below n, so the
+    # image's ranks go straight into its bitmask
+    bits = 0
+    for a, b, c in h.edges():
+        bits |= 1 << triple_rank(*sorted((perm[a], perm[b], perm[c])))
+    return Hypergraph(h.n, bits)
 
 
-def _orbits(gens: list[list[int]], n: int) -> list[int]:
-    """For each vertex, a representative of its orbit under the group gens generate."""
-    rep = list(range(n))
+def _find(rep: list[int], v: int) -> int:
+    """The root of v in the union-find rep, halving the path on the way."""
+    while rep[v] != v:
+        rep[v] = v = rep[rep[v]]
+    return v
 
-    def find(v: int) -> int:
-        while rep[v] != v:
-            rep[v] = v = rep[rep[v]]
-        return v
 
-    for g in gens:
-        for v in range(n):
-            a, b = find(v), find(g[v])
+def _merge(rep: list[int], g: list[int]) -> None:
+    """Join the orbits of the union-find rep that the permutation g links."""
+    for v, w in enumerate(g):
+        if v != w:
+            a, b = _find(rep, v), _find(rep, w)
             if a != b:
                 rep[a] = b
-    return [find(v) for v in range(n)]
 
 
 def _search(h: Hypergraph, seeded: bool = False) -> tuple[list[int], int] | None:
@@ -177,8 +183,8 @@ def _search(h: Hypergraph, seeded: bool = False) -> tuple[list[int], int] | None
         top = 0 if last else 1 << (_TOP - k * (k - 1) // 2)
         total = placed + c.bit_count()
         seen = len(gens)
-        orbit: list[int] = []
-        orbit_gens = 0
+        rep: list[int] = []  # the orbits of the first `merged` generators in fixing
+        merged = 0
         done: dict[int, tuple[int, int]] = {}  # finished child -> (version, its tied leaves)
         todo = cell
         while todo:
@@ -187,9 +193,14 @@ def _search(h: Hypergraph, seeded: bool = False) -> tuple[list[int], int] | None
             u = low.bit_length() - 1
             if fixing and done:
                 # A finished child in u's orbit has a subtree matching u's.
-                if orbit_gens != len(fixing):
-                    orbit, orbit_gens = _orbits(fixing, n), len(fixing)
-                w = next((w for w in done if orbit[w] == orbit[u]), None)
+                if merged != len(fixing):
+                    if not merged:
+                        rep = list(range(n))
+                    for g in fixing[merged:]:
+                        _merge(rep, g)
+                    merged = len(fixing)
+                r = _find(rep, u)
+                w = next((w for w in done if _find(rep, w) == r), None)
                 if w is not None:
                     ver, count = done[w]
                     if ver == version:

@@ -48,13 +48,13 @@ IMAGE_CAP = 12
 def _images_base7() -> tuple[tuple[tuple[int, int, int], ...], ...]:
     """The lines of the 30 distinct plane copies on 7 labeled vertices.
 
-    The plane's automorphisms act transitively on its points, so every copy
-    is the image of a relabeling that fixes point 0: the 720 such relabelings
-    reach all 5040 / 168 = 30 copies.
+    The plane's automorphisms act transitively on ordered pairs of points,
+    so every copy is the image of a relabeling that fixes points 0 and 1:
+    the 120 such relabelings reach all 5040 / 168 = 30 copies.
     """
     seen = set()
-    for rest in permutations(range(1, 7)):
-        s = (0, *rest)
+    for rest in permutations(range(2, 7)):
+        s = (0, 1, *rest)
         seen.add(tuple(sorted(tuple(sorted((s[a], s[b], s[c]))) for a, b, c in FANO_LINES)))
     return tuple(sorted(seen))
 

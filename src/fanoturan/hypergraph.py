@@ -63,15 +63,16 @@ def _members(mask: int):
 
 
 def _check_n(n: int) -> None:
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:
         raise ParameterError(f"vertex count must be a positive integer, got {n!r}")
     if n > MAX_VERTICES:
         raise CapabilityError(f"vertex count {n} exceeds the supported maximum {MAX_VERTICES}")
 
 
-# One input's Fano tests, or its canonical search and relabeling, run back to
-# back, so two entries per view suffice.  Views are not kept on the object,
-# since a caller holding many inputs would keep all their views alive.
+# One input's Fano tests, or its canonical search and the form built from its
+# edges, run back to back, so two entries per view suffice.  Views are not
+# kept on the object, since a caller holding many inputs would keep all their
+# views alive.
 _VIEWS = 2
 
 
@@ -137,13 +138,19 @@ class Hypergraph:
     @classmethod
     def from_edges(cls, n: int, edges) -> "Hypergraph":
         bits = 0
-        for e in edges:
-            a, b, c = e
-            if not a < b < c:
-                a, b, c = sorted((a, b, c))
-            if not (0 <= a < b < c < n):
-                raise ParameterError(f"edge {tuple(e)} is not a triple of distinct vertices below {n}")
-            bits |= 1 << triple_rank(a, b, c)
+        edges = iter(edges)  # a non-iterable is the caller's TypeError, not a bad edge
+        try:
+            for e in edges:
+                a, b, c = e
+                if not a < b < c:
+                    a, b, c = sorted((a, b, c))
+                if not (0 <= a < b < c < n):
+                    raise ParameterError(f"edge {tuple(e)} is not a triple of distinct vertices below {n}")
+                bits |= 1 << triple_rank(a, b, c)
+        except ParameterError:
+            raise
+        except (TypeError, ValueError):
+            raise ParameterError(f"edge {e!r} is not three integers") from None
         return cls(n, bits)
 
     @classmethod

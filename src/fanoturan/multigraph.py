@@ -539,14 +539,15 @@ def verify_lemma_4vertex(*, seed: int = 0) -> Certificate:
     combos = _combo_table(p)
     sdr = _sdr_table()
     ncombos = len(combos)
-    # ends[k]: the number of combos with deficit <= k, as C(2p, d) have deficit d
-    ends = list(accumulate(comb(2 * p, d) for d in range(2 * p + 1)))
-
-    def end(k: int) -> int:
-        return ends[min(k, 2 * p)] if k >= 0 else 0
-
-    def has_full(combo: tuple) -> bool:
-        return combo[1] == full or combo[2] == full
+    # ends[off + k]: the number of combos with deficit <= k, as C(2p, d) have
+    # deficit d; 0 for k < 0.  In the loop -off <= k <= 6p.
+    off = max(min_sum, full_pair, 0)
+    ends = [0] * off + list(accumulate(comb(2 * p, d) for d in range(2 * p + 1)))
+    ends += [ncombos] * (off + 6 * p + 1 - len(ends))
+    # a third's matching sum 2p - dc exceeds max_sum while dc <= 2p - max_sum - 1
+    over = 2 * p - max_sum - 1
+    over_end = ends[off + min(over, 2 * p)] if over >= 0 else 0
+    has_full = [combo[1] == full or combo[2] == full for combo in combos]
 
     # per distinct sdr row: prefix counts of crossing-free combos, and the
     # next crossing-free index, overall and among combos without a full pair
@@ -561,7 +562,7 @@ def verify_lemma_4vertex(*, seed: int = 0) -> Certificate:
             pre[j + 1] = pre[j] + free[j]
         for j in range(ncombos - 1, -1, -1):
             nf[j] = j if free[j] else nf[j + 1]
-            nfn[j] = j if free[j] and not has_full(combos[j]) else nfn[j + 1]
+            nfn[j] = j if free[j] and not has_full[j] else nfn[j + 1]
         return pre, nf, nfn
 
     accounted = space - sum(comb(6 * p, k) for k in range(cutoff + 1))  # below both thresholds
@@ -588,36 +589,35 @@ def verify_lemma_4vertex(*, seed: int = 0) -> Certificate:
         da = ca[0]
         if 3 * da > cutoff:
             break
+        sdr_a = sdr[ca[3]]
+        full_a = has_full[ia]
         for ib in range(ia, ncombos):
             cb = combos[ib]
             db = cb[0]
             if da + 2 * db > cutoff:
                 break
-            row = sdr[ca[3]][cb[3]]
+            row = sdr_a[cb[3]]
             tables = row_tables.get(row)
             if tables is None:
                 tables = row_tables[row] = tables_for(row)
             pre, nf, nfn = tables
-            # the third combo ic runs over [ib, hi); ic == ib weighs w0, later ones w1
+            # the third combo ic runs over [ib, hi); ic == ib weighs w0, later
+            # ones w1, so the crossing-free states with ib <= ic < h weigh
+            # free0 + w1 * (pre[h] - pre1) for h > ib, and 0 otherwise
             w0, w1 = (1, 3) if ia == ib else (3, 6)
-            free0 = w0 * (pre[ib + 1] - pre[ib])
-
-            def free_weight(h: int) -> int:
-                """Weighted crossing-free states with ib <= ic < h."""
-                return free0 + w1 * (pre[h] - pre[ib + 1]) if h > ib else 0
-
+            pre1 = pre[ib + 1]
+            free0 = w0 * (pre1 - pre[ib])
             rest = 6 * p - da - db  # the edge total is rest - dc
-            hi = end(cutoff - da - db)
-            min_sum_end = end(rest - min_sum)
-            full_pair_end = end(rest - full_pair)
+            hi = ends[off + cutoff - da - db]  # > ib, as db <= cutoff - da - db
+            min_sum_end = ends[off + rest - min_sum]
+            full_pair_end = ends[off + rest - full_pair]
 
             # the first failing third, if any; the min-sum reason wins a tie,
-            # as it is checked first for each state.  A third's matching sum
-            # 2p - dc exceeds max_sum while dc <= 2p - max_sum - 1.
+            # as it is checked first for each state
             first, reason = ncombos, ""
-            if nf[ib] < min(min_sum_end, end(2 * p - max_sum - 1)):
+            if nf[ib] < min(min_sum_end, over_end):
                 first, reason = nf[ib], "min matching sum exceeds bound"
-            if not (has_full(ca) or has_full(cb)) and nfn[ib] < min(full_pair_end, first):
+            if not (full_a or has_full[ib]) and nfn[ib] < min(full_pair_end, first):
                 first, reason = nfn[ib], "no pair with full multiplicity"
             if reason:
                 cc = combos[first]
@@ -625,12 +625,14 @@ def verify_lemma_4vertex(*, seed: int = 0) -> Certificate:
                 fail(ca, cb, cc, reason, rest - cc[0])
 
             states = w0 + w1 * (hi - ib - 1)
-            free_states = free_weight(hi)
+            free_states = free0 + w1 * (pre[hi] - pre1)
             scanned += states
             n_cross += states - free_states
             n_free += free_states
-            n_min_sum_checked += free_weight(min_sum_end)
-            n_full_pair_checked += free_weight(full_pair_end)
+            if min_sum_end > ib:
+                n_min_sum_checked += free0 + w1 * (pre[min_sum_end] - pre1)
+            if full_pair_end > ib:
+                n_full_pair_checked += free0 + w1 * (pre[full_pair_end] - pre1)
 
     witness = {
         "crossing_states_at_threshold": n_cross,

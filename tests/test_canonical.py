@@ -12,7 +12,9 @@ import pytest
 
 from fanoturan.canonical import (
     CANONICAL_CAP,
-    _orbits,
+    _canonicalize,
+    _find,
+    _merge,
     _search,
     automorphism_count,
     canonical_form,
@@ -125,6 +127,10 @@ def test_relabel_validation():
         relabel(h, [0, 0, 1, 2, 3, 4, 5])  # not a bijection
     with pytest.raises(ParameterError):
         relabel(h, [0, 1, 2, 3, 4, 5, 7])  # out of range
+    with pytest.raises(ParameterError):
+        relabel(h, [0.0, 1, 2, 3, 4, 5, 6])  # equal to a permutation, but not of ints
+    with pytest.raises(ParameterError):
+        relabel(h, [False, True, 2, 3, 4, 5, 6])
 
 
 def test_canonical_cap_is_a_capability_error():
@@ -299,6 +305,62 @@ def test_forms_match_the_pinned_forms():
         assert is_canonical(got) and got.edge_count == h.edge_count, h
 
 
+def _orbits(gens, n):
+    """For each vertex, a representative of its orbit under the group gens
+    generate, rebuilt from scratch: the dict search's orbit oracle."""
+    rep = list(range(n))
+
+    def find(v):
+        while rep[v] != v:
+            v = rep[v]
+        return v
+
+    for g in gens:
+        for v in range(n):
+            a, b = find(v), find(g[v])
+            if a != b:
+                rep[a] = b
+    return [find(v) for v in range(n)]
+
+
+def _partition(orbit):
+    """The orbits as a set of frozensets, whatever their representatives."""
+    blocks = {}
+    for v, r in enumerate(orbit):
+        blocks.setdefault(r, set()).add(v)
+    return {frozenset(b) for b in blocks.values()}
+
+
+def test_merging_one_generator_at_a_time_matches_the_orbits_from_scratch():
+    rng = random.Random(24)
+    for trial in range(200):
+        n = 1 + trial % 12
+        rep, gens = list(range(n)), []
+        for _ in range(rng.randrange(1, 6)):
+            # a random permutation of a random few vertices, so that some
+            # orbits stay apart until a later generator joins them
+            g = list(range(n))
+            moved = rng.sample(range(n), rng.randrange(1, n // 2 + 2))
+            for a, b in zip(moved, rng.sample(moved, len(moved))):
+                g[a] = b
+            gens.append(g)
+            _merge(rep, g)
+            assert _partition([_find(rep, v) for v in range(n)]) == _partition(_orbits(gens, n)), gens
+
+
+def test_the_form_is_the_relabeling_by_the_least_labeling():
+    # relabel writes the permuted ranks straight into a bitmask; here the
+    # image is rebuilt through from_edges, which sorts and validates each edge
+    for h in _oracle_subjects():
+        lab, aut = _search(h)
+        perm = [0] * h.n
+        for i, v in enumerate(lab):
+            perm[v] = i
+        image = Hypergraph.from_edges(h.n, [(perm[a], perm[b], perm[c]) for a, b, c in h.edges()])
+        assert relabel(h, perm) == image, h
+        assert _canonicalize(h.n, h.bits) == (image, aut), h
+
+
 def _dict_search(h, seeded=False):
     """The canonical search with a {vertex: chunk} node, as a test oracle.
 
@@ -460,3 +522,19 @@ def test_lookahead_skips_children_that_lose_at_once():
     inputs = [random_hypergraph(9, 0.3 + 0.3 * (i % 10) / 9, rng) for i in range(50)]
     cells, oracle = _descend_calls(_search, inputs), _descend_calls(_dict_search, inputs)
     assert cells <= 0.4 * oracle, (cells, oracle)
+
+
+def test_orbits_grown_one_generator_at_a_time_prune_as_much_as_from_scratch():
+    # The cells search tries each node's candidates in the dict search's
+    # order, and that search rebuilds its orbits from scratch; the cells
+    # search also skips children by lookahead, so on no input does it make
+    # more descend calls.  An orbit merge that drops or delays a generator
+    # prunes less, and on these symmetric inputs it makes 1.3 to 3.4 times
+    # the dict search's calls.
+    rng = random.Random(5)
+    named = [construct("balanced_bipartite", n) for n in range(6, CANONICAL_CAP + 1)]
+    named += [construct("j7", 7), construct("fano", 7), construct("pasch", 6)]
+    for h in named:
+        g = _shuffled(h, rng)
+        for x in (h, g, complement(g)):
+            assert _descend_calls(_search, [x]) <= _descend_calls(_dict_search, [x]), x

@@ -160,6 +160,19 @@ def test_from_edges_sorts_each_triple_and_keeps_its_error_text():
         assert str(info.value) == f"edge {tuple(bad)} is not a triple of distinct vertices below 9"
 
 
+@pytest.mark.parametrize("bad", [(0, 1), (1.0, 2, 3), ("a", "b", "c"), (0, 1, 2, 3), 5])
+def test_from_edges_rejects_an_edge_that_is_not_three_integers(bad):
+    with pytest.raises(ParameterError) as info:
+        Hypergraph.from_edges(7, [(0, 1, 2), bad])
+    assert str(info.value) == f"edge {bad!r} is not three integers"
+
+
+@pytest.mark.parametrize("n", [True, 7.0, "7", 0])
+def test_a_vertex_count_that_is_not_a_positive_int_is_rejected(n):
+    with pytest.raises(ParameterError):
+        Hypergraph(n, 0)
+
+
 def test_complement_is_an_involution():
     rng = random.Random(5)
     for _ in range(40):
