@@ -156,18 +156,6 @@ def emit_report(certs: list[dict], fmt: str) -> str:
     return _emit(fmt, certs, lines if certs else ["no claims run"])
 
 
-def _verify_worker(payload: tuple) -> dict | str:
-    """The claim's certificate dict, pass or fail, or its capability message."""
-    claim, seed, long_run, checkpoint = payload
-    try:
-        cert = run_claim(claim, seed=seed, long_run=long_run, checkpoint_path=checkpoint)
-    except VerificationError as exc:
-        cert = exc.certificate
-    except CapabilityError as exc:
-        return f"{claim}: {exc}"
-    return cert.to_json_dict()
-
-
 def _cmd_verify(args: argparse.Namespace) -> int:
     requested: list[str] = []
     for name in args.claims:
@@ -183,6 +171,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             return 2
     claims = list(dict.fromkeys(requested))
 
+    # jobs is an upper bound on worker processes; the claims run in this one
+    # process, which meets every bound, so it is only checked
     jobs = args.jobs
     if jobs is None:
         env = os.environ.get("FANOTURAN_JOBS", "1")
@@ -198,27 +188,20 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
     gated = [c for c in claims if c in LONG_RUN_CLAIMS and not args.long_run]
-    payloads = [(c, args.seed, args.long_run, args.checkpoint) for c in claims]
-    if gated:
-        # a long-run claim refuses before any work without long_run, so asking
-        # it alone stops the run before any other claim starts
-        outcomes = [_verify_worker((gated[0], args.seed, False, None))]
-    elif jobs == 1 or len(claims) == 1:
-        outcomes = [_verify_worker(p) for p in payloads]
-    else:
-        # imported here: the process pool machinery is most of the import
-        # cost of this module, and only parallel runs need it
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=min(jobs, len(claims))) as pool:
-            outcomes = list(pool.map(_verify_worker, payloads))
-
-    for outcome in outcomes:
-        if isinstance(outcome, str):
-            print(f"capability: {outcome}", file=sys.stderr)
+    certs = []
+    # a long-run claim refuses before any work without long_run, so running
+    # it alone stops the run before any other claim starts
+    for claim in gated[:1] or claims:
+        try:
+            cert = run_claim(claim, seed=args.seed, long_run=args.long_run, checkpoint_path=args.checkpoint)
+        except VerificationError as exc:
+            cert = exc.certificate
+        except CapabilityError as exc:
+            print(f"capability: {claim}: {exc}", file=sys.stderr)
             return 3
-    print(emit_report(outcomes, args.format))
-    return 0 if all(c["verdict"] == "pass" for c in outcomes) else 1
+        certs.append(cert.to_json_dict())
+    print(emit_report(certs, args.format))
+    return 0 if all(c["verdict"] == "pass" for c in certs) else 1
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run registered claims and report certificates")
     p.add_argument("claims", nargs="+", metavar="claim", help="claim ids, or all")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=None, help="parallel claim workers (env FANOTURAN_JOBS)")
+    p.add_argument("--jobs", type=int, default=None, help="upper bound on worker processes (env FANOTURAN_JOBS)")
     p.add_argument("--long-run", action="store_true", help="include budget-gated claims")
     p.add_argument("--format", choices=("text", "json"), default="text")
     long_runs = ", ".join(c.id for c in CLAIMS if c.long_run)

@@ -189,6 +189,8 @@ class Hypergraph:
 
     def has_edge(self, a: int, b: int, c: int) -> bool:
         a, b, c = sorted((a, b, c))
+        if not 0 <= a < b < c < self.n:
+            raise ParameterError(f"({a}, {b}, {c}) is not a triple of distinct vertices below {self.n}")
         return bool(self.bits >> triple_rank(a, b, c) & 1)
 
 

@@ -67,7 +67,10 @@ class PMultigraph:
         return cls(p, n, ((1 << p) - 1,) * comb(n, 2))
 
     def multiplicity(self, u: int, v: int) -> int:
-        return self.memb[pair_rank(*sorted((u, v)))].bit_count()
+        a, b = sorted((u, v))
+        if not 0 <= a < b < self.n:
+            raise ParameterError(f"({u}, {v}) is not a pair of distinct vertices below {self.n}")
+        return self.memb[pair_rank(a, b)].bit_count()
 
     def edge_total(self) -> int:
         return sum(m.bit_count() for m in self.memb)

@@ -172,9 +172,13 @@ def test_non_utf8_files_are_format_errors(tmp_path, capsys):
         assert captured.out == ""
 
 
-def test_verify_long_run_gate(capsys):
+def test_verify_long_run_gate(tmp_path, capsys):
     assert main(["verify", "ex-8"]) == 3
     assert "capability" in capsys.readouterr().err
+    path = tmp_path / "gated.ckpt"
+    assert main(["verify", "ex-8", "--checkpoint", str(path)]) == 3
+    assert capsys.readouterr().err == "capability: ex-8: the 8-vertex scan is gated behind long_run\n"
+    assert not path.exists()
 
 
 def test_verify_gate_stops_before_any_claim_runs(monkeypatch, capsys):
@@ -183,10 +187,11 @@ def test_verify_gate_stops_before_any_claim_runs(monkeypatch, capsys):
 
     monkeypatch.setattr(search, "verify_lemma_n7", never)
     monkeypatch.setattr(search, "verify_lemma_4vertex", never)
-    assert main(["verify", "lemma-n7", "lemma-4vertex", "ex-8"]) == 3
-    captured = capsys.readouterr()
-    assert captured.err == "capability: ex-8: the 8-vertex scan is gated behind long_run\n"
-    assert captured.out == ""
+    for jobs in ("1", "3"):
+        assert main(["verify", "lemma-n7", "lemma-4vertex", "ex-8", "--jobs", jobs]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == "capability: ex-8: the 8-vertex scan is gated behind long_run\n"
+        assert captured.out == ""
 
 
 def test_verify_checkpoint_without_a_long_run_claim_is_noted(tmp_path, capsys):
@@ -218,21 +223,26 @@ def test_verify_all_is_deterministic_modulo_elapsed(capsys):
     assert certs == json.loads(PINNED.read_text(encoding="utf-8"))[:9]
 
 
-def test_verify_parallel_jobs_match_serial(capsys):
-    argv = ["verify", "fact-2-4", "matching-facts", "corollary-bf", "--format", "json"]
-    assert main(argv + ["--jobs", "1"]) == 0
-    serial = capsys.readouterr().out
-    assert main(argv + ["--jobs", "3"]) == 0
-    parallel = capsys.readouterr().out
-    assert _strip_elapsed(serial) == _strip_elapsed(parallel)
-
-
-def test_cli_import_leaves_the_process_pool_unloaded():
-    # only `--jobs` above 1 needs it, and every command pays for its import
-    code = "import sys, fanoturan.cli; print('concurrent.futures.process' in sys.modules)"
+def test_verify_runs_every_jobs_value_in_one_process():
+    # a fresh interpreter, so an import by any other test cannot hide one here
+    code = """if True:
+        import io, json, sys
+        from contextlib import redirect_stdout
+        from fanoturan.cli import main
+        argv = ["verify", "fact-2-4", "matching-facts", "corollary-bf", "--format", "json"]
+        reports = []
+        for jobs in ("1", "3"):
+            with redirect_stdout(io.StringIO()) as out:
+                assert main(argv + ["--jobs", jobs]) == 0
+            reports.append(out.getvalue())
+        print(json.dumps([reports, "concurrent.futures.process" in sys.modules]))
+    """
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "False\n"
+    (serial, bounded), pool_imported = json.loads(proc.stdout)
+    assert len(json.loads(serial)) == 3
+    assert _strip_elapsed(serial) == _strip_elapsed(bounded)
+    assert pool_imported is False
 
 
 def test_verify_reports_claims_in_the_order_named(capsys):

@@ -106,6 +106,16 @@ def test_hypergraph_edge_roundtrip_and_membership():
             assert h.has_edge(*t)
 
 
+def test_has_edge_rejects_what_is_not_a_triple_of_vertices():
+    # a repeated vertex read rank 0, a negative one shifted by a negative
+    # count, and one at n or above read a bit past the edge set
+    h = Hypergraph.from_edges(5, [(0, 1, 2)])
+    assert h.has_edge(2, 0, 1) and not h.has_edge(1, 2, 3)
+    for t in ((0, 0, 1), (-1, 0, 1), (0, 1, 5), (0, 1, 7)):
+        with pytest.raises(ParameterError):
+            h.has_edge(*t)
+
+
 def _views_by_combinations(h):
     """edges(), thirds() and links() rebuilt from itertools.combinations."""
     n = h.n

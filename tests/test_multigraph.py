@@ -73,6 +73,15 @@ def test_accessors_on_a_small_example():
     assert PMultigraph.complete(3, 3).edge_total() == 9
 
 
+def test_multiplicity_rejects_what_is_not_a_pair_of_vertices():
+    # (0, 0) and (-1, 2) read pair {0, 1}; (3, 7) indexed past the masks
+    g = PMultigraph.complete(2, 4)
+    assert g.multiplicity(3, 2) == 2
+    for u, v in ((0, 0), (-1, 2), (3, 7), (4, 0)):
+        with pytest.raises(ParameterError):
+            g.multiplicity(u, v)
+
+
 def test_json_roundtrip_is_exact():
     rng = random.Random(21)
     for _ in range(25):

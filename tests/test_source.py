@@ -54,6 +54,23 @@ def test_no_unused_imports():
     assert unused == {}
 
 
+def test_no_module_starts_processes():
+    # a process pool was slower than one process at every worker count; one
+    # that comes back should come with a measurement
+    banned = {"concurrent", "multiprocessing"}
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                roots = [a.name.split(".")[0] for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                roots = [node.module.split(".")[0]]
+            else:
+                continue
+            found += [f"{path.name}:{root}" for root in roots if root in banned]
+    assert found == []
+
+
 def test_every_top_level_definition_is_used():
     # a definition counts as used when any other top-level statement of the
     # package names it; __init__.py only re-exports
